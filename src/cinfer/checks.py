@@ -51,46 +51,31 @@ class CheckResult:
     seconds: float
 
 
-_family_cache: dict[str, object] = {}
-
-
-def _sg_family(threads: int = 1):
-    if "sg" not in _family_cache:
-        _family_cache["sg"] = semigraphoid_family(threads=threads)
-    return _family_cache["sg"]
-
-
-def _ci_family(threads: int = 1):
-    if "ci" not in _family_cache:
-        _family_cache["ci"] = ci_structure_family(threads=threads)
-    return _family_cache["ci"]
-
-
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
 
-def check_semigraphoid_count(threads: int = 1) -> tuple[bool, str]:
-    count = int(_sg_family(threads).size)
+def check_semigraphoid_count() -> tuple[bool, str]:
+    count = len(semigraphoid_family())
     return count == SEMIGRAPHOID_COUNT, f"count = {count:,} (expected {SEMIGRAPHOID_COUNT:,})"
 
 
-def check_ci_structure_count(threads: int = 1) -> tuple[bool, str]:
-    count = int(_ci_family(threads).size)
+def check_ci_structure_count() -> tuple[bool, str]:
+    count = len(ci_structure_family())
     return count == CI_STRUCTURE_COUNT, f"count = {count:,} (expected {CI_STRUCTURE_COUNT:,})"
 
 
-def check_lattice_equivalence(threads: int = 1) -> tuple[bool, str]:
+def check_lattice_equivalence() -> tuple[bool, str]:
     seeds = [s.to_bits() for s in catalog.all_irreducibles()]
     closed = meet_closure_bits(seeds)
-    family = set(int(b) for b in _ci_family(threads))
+    family = set(ci_structure_family())
     return closed == family, (
         f"meet closure has {len(closed):,} members, rule-closed family {len(family):,}"
     )
 
 
-def check_irreducible_census(threads: int = 1) -> tuple[bool, str]:
+def check_irreducible_census() -> tuple[bool, str]:
     members = catalog.all_irreducibles()
     sizes = catalog.irreducible_orbit_sizes()
     expected = list(CONSTRUCTION_ORBITS + COUNTEREXAMPLE_ORBITS + (1,))
@@ -104,7 +89,7 @@ def check_irreducible_census(threads: int = 1) -> tuple[bool, str]:
     return ok, f"{len(members)} members in {len(sizes)} orbit types of sizes {sizes}"
 
 
-def check_example5_closed_form(threads: int = 1) -> tuple[bool, str]:
+def check_example5_closed_form() -> tuple[bool, str]:
     report = inequalities.verify_counterexample(5)
     return report.ok, (
         f"16 * ingleton = {16 * report.ingleton_value:.9f}"
@@ -112,7 +97,7 @@ def check_example5_closed_form(threads: int = 1) -> tuple[bool, str]:
     )
 
 
-def check_counterexamples(threads: int = 1) -> tuple[bool, str]:
+def check_counterexamples() -> tuple[bool, str]:
     reports = [inequalities.verify_counterexample(k) for k in range(1, 5)]
     ok = all(r.ok for r in reports)
     values = ", ".join(f"{r.id}: {r.ingleton_value:.6f}" for r in reports)
@@ -120,7 +105,7 @@ def check_counterexamples(threads: int = 1) -> tuple[bool, str]:
     return ok, values + (f"; {failures}" if failures else "")
 
 
-def check_catalog(threads: int = 1) -> tuple[bool, str]:
+def check_catalog() -> tuple[bool, str]:
     reports = catalog.verify_all()
     ok = all(r.ok for r in reports)
     counts = [
@@ -132,7 +117,7 @@ def check_catalog(threads: int = 1) -> tuple[bool, str]:
     return ok, f"statement counts {counts}" + (f"; {failures}" if failures else "")
 
 
-def check_mask_identities(threads: int = 1) -> tuple[bool, str]:
+def check_mask_identities() -> tuple[bool, str]:
     rng = random.Random(414213)
     x, y, z, u = 1, 2, 4, 8
     for _ in range(1000):
@@ -156,7 +141,7 @@ def check_mask_identities(threads: int = 1) -> tuple[bool, str]:
     return True, "5 rewritings exact on 1,000 random rational functions and the indicator basis"
 
 
-def check_hxy(threads: int = 1) -> tuple[bool, str]:
+def check_hxy() -> tuple[bool, str]:
     h = catalog.get("HXY").rank_function
     poly = is_polymatroid(h).ok
     tight = is_tight(h)
@@ -166,7 +151,7 @@ def check_hxy(threads: int = 1) -> tuple[bool, str]:
     return ok, f"polymatroid={poly}, tight={tight}, matroid={matroid}, ingleton={value}"
 
 
-def check_derivations(threads: int = 1) -> tuple[bool, str]:
+def check_derivations() -> tuple[bool, str]:
     schemas = inequalities.load_derivation_schemas()
     if len(schemas) != 19:
         return False, f"expected 19 schemas, found {len(schemas)}"
@@ -183,7 +168,7 @@ def check_derivations(threads: int = 1) -> tuple[bool, str]:
     )
 
 
-def check_conditional_inequalities(threads: int = 1) -> tuple[bool, str]:
+def check_conditional_inequalities() -> tuple[bool, str]:
     worst = 0.0
     for rule in range(1, 6):
         reports = inequalities.sample_conditional_inequality(rule, samples=200)
@@ -212,7 +197,7 @@ def _partitions(names, blocks: int, nonempty: tuple[int, ...]):
             yield groups
 
 
-def check_distribution_algebra(threads: int = 1) -> tuple[bool, str]:
+def check_distribution_algebra() -> tuple[bool, str]:
     rng = random.Random(577215)
     names = ("x", "y", "z", "u")
 
@@ -283,7 +268,7 @@ def check_distribution_algebra(threads: int = 1) -> tuple[bool, str]:
     )
 
 
-CHECKS: dict[str, Callable[[int], tuple[bool, str]]] = {
+CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "semigraphoid-count": check_semigraphoid_count,
     "ci-structure-count": check_ci_structure_count,
     "lattice-equivalence": check_lattice_equivalence,
@@ -299,14 +284,14 @@ CHECKS: dict[str, Callable[[int], tuple[bool, str]]] = {
 }
 
 
-def run_check(name: str, threads: int = 1) -> CheckResult:
+def run_check(name: str) -> CheckResult:
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
     start = time.perf_counter()
-    ok, detail = CHECKS[name](threads)
+    ok, detail = CHECKS[name]()
     return CheckResult(name, ok, detail, time.perf_counter() - start)
 
 
-def run_all(only: str | None = None, threads: int = 1) -> list[CheckResult]:
+def run_all(only: str | None = None) -> list[CheckResult]:
     names = [only] if only else list(CHECKS)
-    return [run_check(name, threads) for name in names]
+    return [run_check(name) for name in names]

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Verbs map one-to-one onto library operations: entropy computation, exact
-CI queries, induced structures, Ingleton values, rule closure, the 2**24
-enumeration, the irreducible census, and the bundled verification
-batteries.  Exit status: 0 on success or verification pass, 1 on a failed
-check or a false query, 2 on malformed input.
+CI queries, induced structures, Ingleton values, rule closure, the
+enumeration of the closed structures, the irreducible census, and the
+bundled verification batteries.  Exit status: 0 on success or verification
+pass, 1 on a failed check or a false query, 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ def _parse_groups(spec: str, space) -> list[int]:
     return [
         space.mask([n for n in part.split("+") if n]) for part in spec.split(",")
     ]
-
-
-def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +121,7 @@ def cmd_closure(args) -> int:
 def cmd_enumerate(args) -> int:
     base = BasicSet(("x", "y", "z", "u"))
     fn = enumerate_semigraphoids if args.rules == "sg" else enumerate_ci_structures
-    count = fn(
-        dump=args.dump,
-        threads=args.threads,
-        progress=_progress,
-        base=base,
-        human_dump=args.dump_human,
-    )
+    count = fn(dump=args.dump, base=base, human_dump=args.dump_human)
     print(json.dumps({"rules": args.rules, "count": count}) if args.json else count)
     return EXIT_OK
 
@@ -152,7 +142,7 @@ def cmd_irreducibles(args) -> int:
 def cmd_verify_paper(args) -> int:
     from . import checks
 
-    results = checks.run_all(only=args.only, threads=args.threads)
+    results = checks.run_all(only=args.only)
     if args.json:
         print(
             json.dumps(
@@ -199,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(
         "--tol", type=float, default=None, help="tolerance for float comparisons"
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for enumeration"
     )
 
     parser = argparse.ArgumentParser(

@@ -195,6 +195,16 @@ class JointDistribution:
 
     @staticmethod
     def from_json_dict(data: dict) -> "JointDistribution":
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("variables"), list)
+            and isinstance(data.get("density"), list)
+            and all(isinstance(v, dict) for v in data["variables"] + data["density"])
+        ):
+            raise ValueError(
+                'a distribution is a JSON object whose "variables" and "density" '
+                "are lists of objects"
+            )
         space = SampleSpace(
             [v["name"] for v in data["variables"]],
             [v["cardinality"] for v in data["variables"]],

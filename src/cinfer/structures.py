@@ -212,6 +212,16 @@ class CIStructure:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CIStructure":
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("variables"), list)
+            and isinstance(data.get("statements"), list)
+            and all(isinstance(s, dict) for s in data["statements"])
+        ):
+            raise ValueError(
+                'a CI structure is a JSON object whose "variables" is a list and '
+                'whose "statements" is a list of objects'
+            )
         base = BasicSet(data["variables"])
         stmts = [(s["i"], s["j"], s.get("K", [])) for s in data["statements"]]
         return CIStructure.from_statements(base, stmts)

@@ -1,6 +1,7 @@
 import pytest
 
-from cinfer import catalog, checks
+from cinfer import catalog
+from cinfer.inference import ci_structure_family, semigraphoid_family
 from cinfer.sets import BasicSet
 
 
@@ -17,10 +18,10 @@ def catalog_entries():
 @pytest.fixture(scope="session")
 def sg_family():
     """All semi-graphoid bitmasks over four variables (computed once)."""
-    return checks._sg_family()
+    return semigraphoid_family()
 
 
 @pytest.fixture(scope="session")
 def ci_family():
     """All rule-closed structure bitmasks over four variables."""
-    return checks._ci_family()
+    return ci_structure_family()

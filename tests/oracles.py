@@ -2,9 +2,10 @@
 
 Everything here recomputes results from first principles with the most
 direct (and slowest) method available: full-grid scans for the CI
-factorization, direct summation for marginals and entropies, and repeated
-whole-table passes for rule closure.  None of it shares code paths with
-the implementations under test.
+factorization, direct summation for marginals and entropies, repeated
+whole-table passes for rule closure, and a test of every one of the 2**24
+candidate structures for the enumerated families.  None of it shares code
+paths with the implementations under test.
 """
 
 from __future__ import annotations
@@ -88,6 +89,30 @@ def naive_closure(bits, rules):
                 s |= r.conclusion_bits
                 changed = True
     return s
+
+
+def closed_members(candidates, rules):
+    """The candidates (a numpy integer array) closed under every
+    (premise, conclusion) pair, in their given order."""
+    import numpy as np
+
+    ok = np.ones(candidates.shape, dtype=bool)
+    for p, c in rules:
+        ok &= ~(((candidates & p) == p) & ((candidates & c) != c))
+    return candidates[ok]
+
+
+def brute_force_closed_family(rules):
+    """Every 24-bit mask closed under the (premise, conclusion) pairs,
+    ascending, found by testing all 2**24 candidates in chunks of 2**21."""
+    import numpy as np
+
+    chunk = 1 << 21
+    parts = [
+        closed_members(np.arange(start, start + chunk, dtype=np.uint32), rules)
+        for start in range(0, 1 << 24, chunk)
+    ]
+    return np.concatenate(parts)
 
 
 def random_rational_setfn(rng, n=4, lo=-60, hi=60, max_den=12):

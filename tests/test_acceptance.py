@@ -2,8 +2,8 @@
 tolerance, one pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they print.  Budgets are wall-clock upper bounds; the scans actually
-finish in seconds.
+they print.  Budgets are wall-clock upper bounds; the enumerations
+actually finish in under a second.
 """
 
 import json
@@ -37,7 +37,7 @@ class TestCountCriteria:
         with capsys.disabled():
             _report(1, "semigraphoid-count", ok, elapsed, f"CLI count = {out['count']:,}")
         assert ok
-        assert elapsed <= 300, "semi-graphoid scan exceeded 5 minutes"
+        assert elapsed <= 300, "semi-graphoid enumeration exceeded 5 minutes"
 
     def test_criterion_2_ci_structure_count(self, capsys):
         start = time.perf_counter()
@@ -48,7 +48,7 @@ class TestCountCriteria:
         with capsys.disabled():
             _report(2, "ci-structure-count", ok, elapsed, f"CLI count = {out['count']:,}")
         assert ok
-        assert elapsed <= 900, "full-rule scan exceeded 15 minutes"
+        assert elapsed <= 900, "full-rule enumeration exceeded 15 minutes"
 
 
 class TestLatticeCriteria:

@@ -91,11 +91,10 @@ class TestIrreducibles:
     def test_submaximal_structures_are_coatoms(self, ci_family):
         # the only closed strict superset of each construction's structure
         # is the full structure
-        family = [int(b) for b in ci_family]
         full = (1 << 24) - 1
         for eid in catalog.CONSTRUCTION_IDS:
             bits = catalog.get(eid).claimed_statements.to_bits()
-            supersets = {f for f in family if f & bits == bits and f != bits}
+            supersets = {f for f in ci_family if f & bits == bits and f != bits}
             assert supersets == {full}, eid
 
     def test_counterexample_structures_are_meet_irreducible(self):

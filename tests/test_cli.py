@@ -1,6 +1,7 @@
 """Command-line interface: verbs, output formats, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -41,6 +42,41 @@ class TestCheckCI:
 
     def test_missing_file(self, tmp_path):
         assert main(["check-ci", str(tmp_path / "nope.json"), "x _||_ y | "]) == 2
+
+
+BAD_DISTRIBUTIONS = {
+    "top-level-list": [1, 2],
+    "density-not-list": {"variables": [{"name": "x", "cardinality": 2}], "density": 5},
+}
+BAD_STRUCTURES = {
+    "top-level-list": [1, 2],
+    "statements-not-list": {"variables": ["x", "y"], "statements": 5},
+}
+# argv with None where the input file goes
+LOADING_VERBS = [
+    (["structure", None], BAD_DISTRIBUTIONS),
+    (["entropy", None], BAD_DISTRIBUTIONS),
+    (["check-ci", None, "x _||_ y | "], BAD_DISTRIBUTIONS),
+    (["ingleton", None, "--xyzu", "x,y,z,u"], BAD_DISTRIBUTIONS),
+    (["closure", None], BAD_STRUCTURES),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            pytest.param(argv, doc, id=f"{argv[0]}-{name}")
+            for argv, docs in LOADING_VERBS
+            for name, doc in docs.items()
+        ],
+    )
+    def test_wrong_json_shape_is_an_input_error(self, argv, document, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main([str(path) if a is None else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestStructure:
@@ -96,6 +132,24 @@ class TestClosure:
         path.write_text(CIStructure.empty(base).dumps())
         assert main(["closure", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "(empty)"
+
+
+class TestEnumerate:
+    @pytest.mark.parametrize("rules, count", [("sg", 26_424), ("all", 18_478)])
+    def test_dump_is_strictly_ascending_hex(self, rules, count, tmp_path, capsys):
+        path = tmp_path / f"{rules}.txt"
+        assert main(["enumerate", "--rules", rules, "--dump", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == str(count)
+        lines = path.read_text().splitlines()
+        assert len(lines) == count
+        assert all(re.fullmatch("[0-9a-f]{6}", line) for line in lines)
+        values = [int(line, 16) for line in lines]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestVerifyVerbs:
