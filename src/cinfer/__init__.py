@@ -53,11 +53,8 @@ from .inference import (
     InferenceRule,
     RULES,
     closure,
-    enumerate_ci_structures,
-    enumerate_semigraphoids,
     ground_rules,
     is_closed,
-    meet,
     meet_closure,
     orbit,
 )
@@ -98,8 +95,6 @@ __all__ = [
     "delta",
     "double_markov_extend",
     "entropy_function",
-    "enumerate_ci_structures",
-    "enumerate_semigraphoids",
     "expand_to_elementary",
     "ground_rules",
     "induced_ci_structure",
@@ -115,7 +110,6 @@ __all__ = [
     "load_derivation_schemas",
     "marginal",
     "mask_form",
-    "meet",
     "meet_closure",
     "orbit",
     "tighten",

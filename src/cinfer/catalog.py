@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .dist import JointDistribution, entropy_function, induced_ci_structure
-from .inference import orbit
+from .inference import orbit, orbit_bits
 from .setfn import (
     SetFunction,
     induced_ci_structure_of_rank,
@@ -140,13 +140,13 @@ def verify(entry: CatalogEntry) -> VerificationReport:
         if entry.statements_complete:
             report.add(
                 "statements",
-                induced.members == entry.claimed_statements.members,
+                induced == entry.claimed_statements,
                 f"induced {len(induced)} vs claimed {len(entry.claimed_statements)}",
             )
         else:
             report.add(
                 "statements-hold",
-                entry.claimed_statements.members <= induced.members,
+                entry.claimed_statements.issubset(induced),
                 "claimed statements not all induced",
             )
     if entry.distribution is not None and entry.rank_function is not None:
@@ -163,7 +163,7 @@ def verify(entry: CatalogEntry) -> VerificationReport:
             rank_structure = induced_ci_structure_of_rank(entry.rank_function, 0)
             report.add(
                 "rank-structure",
-                rank_structure.members == entry.claimed_statements.members,
+                rank_structure == entry.claimed_statements,
                 "rank function induces a different structure",
             )
     if entry.claimed_orbit_size is not None:
@@ -206,14 +206,11 @@ def all_irreducibles() -> list[CIStructure]:
     """The 92 irreducible CI structures over four variables: the orbits of
     the nine sub-maximal structures (31 members), the orbits of the four
     counterexample structures (60 members), and the full structure."""
-    members: dict[int, CIStructure] = {}
     sources = [get(f"CON{k}").claimed_statements for k in range(1, 10)]
     sources += [get(f"EX{k}").claimed_statements for k in range(1, 5)]
     sources.append(get("FULL").claimed_statements)
-    for s in sources:
-        for img in orbit(s):
-            members[img.to_bits()] = img
-    return [members[b] for b in sorted(members)]
+    bits = set().union(*(orbit_bits(s.bits) for s in sources))
+    return [CIStructure(sources[0].base, b) for b in sorted(bits)]
 
 
 def irreducible_orbit_sizes() -> list[int]:

@@ -255,9 +255,8 @@ def check_distribution_algebra() -> tuple[bool, str]:
         for e2 in dist_entries[i:]:
             Q, R = e1.distribution, e2.distribution
             product = lattice_product(Q, R)
-            lhs = induced_ci_structure(product).members
-            rhs = induced_ci_structure(Q).members & induced_ci_structure(R).members
-            if lhs != rhs:
+            rhs = induced_ci_structure(Q) & induced_ci_structure(R)
+            if induced_ci_structure(product) != rhs:
                 return False, f"lattice product {e1.id} x {e2.id} structure mismatch"
 
     pair_count = len(dist_entries) * (len(dist_entries) + 1) // 2

@@ -14,11 +14,7 @@ import json
 import sys
 
 from .dist import JointDistribution, entropy_function, induced_ci_structure, is_ci
-from .inference import (
-    closure,
-    enumerate_ci_structures,
-    enumerate_semigraphoids,
-)
+from .inference import ci_structure_family, closure, dump_family, semigraphoid_family
 from .sets import BasicSet
 from .setfn import ingleton
 from .structures import CIStructure
@@ -119,9 +115,10 @@ def cmd_closure(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    base = BasicSet(("x", "y", "z", "u"))
-    fn = enumerate_semigraphoids if args.rules == "sg" else enumerate_ci_structures
-    count = fn(dump=args.dump, base=base, human_dump=args.dump_human)
+    family = semigraphoid_family() if args.rules == "sg" else ci_structure_family()
+    if args.dump:
+        dump_family(args.dump, family, BasicSet(("x", "y", "z", "u")), args.dump_human)
+    count = len(family)
     print(json.dumps({"rules": args.rules, "count": count}) if args.json else count)
     return EXIT_OK
 
@@ -165,6 +162,8 @@ def cmd_verify_inequality(args) -> int:
 
     if not 1 <= args.rule <= 5:
         raise ValueError("rule id must be 1..5")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     tol = args.tol if args.tol is not None else inequalities.FLOAT_TOL
     reports = inequalities.sample_conditional_inequality(args.rule, samples=args.samples)
     low = min(r.ingleton_value for r in reports)
@@ -187,9 +186,6 @@ def cmd_verify_inequality(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--tol", type=float, default=None, help="tolerance for float comparisons"
-    )
 
     parser = argparse.ArgumentParser(
         prog="cinfer",
@@ -249,6 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("rule", type=int, help="rule id 1..5")
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="how far below zero a sampled Ingleton value may fall (default 1e-9)",
+    )
     p.set_defaults(fn=cmd_verify_inequality)
 
     return parser

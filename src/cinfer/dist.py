@@ -205,6 +205,14 @@ class JointDistribution:
                 'a distribution is a JSON object whose "variables" and "density" '
                 "are lists of objects"
             )
+        if not all(isinstance(v.get("cardinality"), int) for v in data["variables"]):
+            raise ValueError('every variable needs an integer "cardinality"')
+        if not all(
+            isinstance(row.get("config"), list)
+            and all(isinstance(v, int) for v in row["config"])
+            for row in data["density"]
+        ):
+            raise ValueError('every density row needs a "config" list of integers')
         space = SampleSpace(
             [v["name"] for v in data["variables"]],
             [v["cardinality"] for v in data["variables"]],
@@ -290,11 +298,11 @@ def induced_ci_structure(P: JointDistribution) -> CIStructure:
     if P._structure is not None:
         return P._structure
     base = P.space.base_set()
-    members = set()
-    for t in canonical_triplets(base.size):
+    bits = 0
+    for b, t in enumerate(canonical_triplets(base.size)):
         if is_ci(P, 1 << t.i, 1 << t.j, t.K):
-            members.add(t)
-    structure = CIStructure(base, frozenset(members))
+            bits |= 1 << b
+    structure = CIStructure(base, bits)
     P._structure = structure
     return structure
 

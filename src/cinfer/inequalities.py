@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -150,20 +150,10 @@ def ex5_closed_form() -> float:
 
 
 @dataclass
-class CounterexampleReport:
-    id: str
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+class CounterexampleReport(catalog.VerificationReport):
+    """A verification report that also carries the Ingleton value."""
+
     ingleton_value: float = 0.0
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{n}: {d}" for n, ok, d in self.checks if not ok]
 
 
 def verify_counterexample(example_id: int | str) -> CounterexampleReport:
@@ -179,7 +169,7 @@ def verify_counterexample(example_id: int | str) -> CounterexampleReport:
     report = CounterexampleReport(eid)
 
     claimed = entry.claimed_statements
-    stmts_ok = all(is_ci(P, 1 << t.i, 1 << t.j, t.K) for t in claimed.members)
+    stmts_ok = all(is_ci(P, 1 << t.i, 1 << t.j, t.K) for t in claimed)
     report.add("claimed-statements", stmts_ok, "a claimed CI statement fails")
 
     h = entropy_function(P)

@@ -32,8 +32,9 @@ from .structures import (
     CIStructure,
     ElementaryTriplet,
     bit_count_for,
-    canonical_triplets,
     expand_to_elementary,
+    permutation_images,
+    permute_bits,
     triplet_index,
 )
 
@@ -338,14 +339,14 @@ def closure(s: CIStructure, ruleset: str | None = None) -> CIStructure:
     four-variable base and to the semi-graphoid rules otherwise.
     """
     ruleset = ruleset or ("all" if s.base.size == 4 else "sg")
-    return CIStructure.from_bits(s.base, closure_bits(s.to_bits(), s.base.size, ruleset))
+    return CIStructure(s.base, closure_bits(s.bits, s.base.size, ruleset))
 
 
 def is_closed(s: CIStructure, ruleset: str | None = None) -> bool:
     """True when every ground rule with satisfied premises has its
     conclusions inside the structure."""
     ruleset = ruleset or ("all" if s.base.size == 4 else "sg")
-    return is_closed_bits(s.to_bits(), s.base.size, ruleset)
+    return is_closed_bits(s.bits, s.base.size, ruleset)
 
 
 # ---------------------------------------------------------------------------
@@ -454,39 +455,14 @@ def dump_family(
     with open(path, "w") as f:
         for bits in family:
             if human and base is not None:
-                f.write(f"{bits:06x}  {CIStructure.from_bits(base, bits).render()}\n")
+                f.write(f"{bits:06x}  {CIStructure(base, bits).render()}\n")
             else:
                 f.write(f"{bits:06x}\n")
 
 
-def enumerate_semigraphoids(
-    dump: str | None = None, base: BasicSet | None = None, human_dump: bool = False
-) -> int:
-    """Number of semi-graphoids over four variables (26,424)."""
-    family = semigraphoid_family()
-    if dump:
-        dump_family(dump, family, base, human_dump)
-    return len(family)
-
-
-def enumerate_ci_structures(
-    dump: str | None = None, base: BasicSet | None = None, human_dump: bool = False
-) -> int:
-    """Number of rule-closed CI structures over four variables (18,478)."""
-    family = ci_structure_family()
-    if dump:
-        dump_family(dump, family, base, human_dump)
-    return len(family)
-
-
 # ---------------------------------------------------------------------------
-# Meets, meet-closure, permutation orbits
+# Meet-closure and permutation orbits
 # ---------------------------------------------------------------------------
-
-
-def meet(s1: CIStructure, s2: CIStructure) -> CIStructure:
-    """Intersection of two structures over the same base."""
-    return s1 & s2
 
 
 def meet_closure_bits(seed_bits: Iterable[int], n: int = 4) -> set[int]:
@@ -516,27 +492,17 @@ def meet_closure(seeds: Sequence[CIStructure]) -> list[CIStructure]:
     for s in seeds[1:]:
         if s.base != base:
             raise ValueError("seeds must share one base")
-    bits = meet_closure_bits((s.to_bits() for s in seeds), base.size)
-    return [CIStructure.from_bits(base, b) for b in sorted(bits)]
+    bits = meet_closure_bits((s.bits for s in seeds), base.size)
+    return [CIStructure(base, b) for b in sorted(bits)]
 
 
 def orbit(s: CIStructure) -> list[CIStructure]:
     """Distinct images of a structure under all permutations of its
     variables, sorted by bitmask."""
-    images = {}
-    for perm in itertools.permutations(range(s.base.size)):
-        img = s.permuted(perm)
-        images[img.to_bits()] = img
-    return [images[b] for b in sorted(images)]
+    return [CIStructure(s.base, b) for b in sorted(orbit_bits(s.bits, s.base.size))]
 
 
 def orbit_bits(bits: int, n: int = 4) -> set[int]:
-    table = canonical_triplets(n)
-    idx = triplet_index(n)
-    out = set()
-    for perm in itertools.permutations(range(n)):
-        img = 0
-        for b in bit_indices(bits):
-            img |= 1 << idx[table[b].permuted(perm)]
-        out.add(img)
-    return out
+    """Distinct images of a triplet bitmask under all permutations of the
+    n variables."""
+    return {permute_bits(bits, image) for image in permutation_images(n).values()}

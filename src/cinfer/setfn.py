@@ -369,11 +369,11 @@ def induced_ci_structure_of_rank(
     """
     _require_polymatroid(h, tol)
     eps = _default_tol(h, tol)
-    members = set()
-    for t in canonical_triplets(h.base.size):
+    bits = 0
+    for b, t in enumerate(canonical_triplets(h.base.size)):
         if abs(delta(h, 1 << t.i, 1 << t.j, t.K)) <= eps:
-            members.add(t)
-    return CIStructure(h.base, frozenset(members))
+            bits |= 1 << b
+    return CIStructure(h.base, bits)
 
 
 def rank_functions_equal_upto_scale(

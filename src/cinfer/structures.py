@@ -2,14 +2,22 @@
 
 An elementary triplet (i, j | K) pairs two distinct variables with a
 conditioning set disjoint from both; (j, i | K) is identified with it, so
-triplets are stored with ``i < j`` in base order.  A CI structure is a set
-of such triplets over a fixed basic set.  Over ``n`` variables there are
-``C(n,2) * 2**(n-2)`` canonical triplets (24 for n = 4), each with a frozen
-bit position: triplets sorted lexicographically by (i, j, K-as-integer).
+triplets are stored with ``i < j`` in base order.  Over ``n`` variables
+there are ``C(n,2) * 2**(n-2)`` canonical triplets (24 for n = 4), each with
+a frozen bit position: triplets sorted lexicographically by (i, j,
+K-as-integer).
+
+A CI structure is a set of such triplets over a fixed basic set, stored as
+one integer whose bit ``b`` marks the triplet at position ``b``; set algebra
+on structures is integer arithmetic, and triplet objects are made only when
+a structure is iterated (bit order equals sorted order).  A permutation of
+the variables acts through :func:`permutation_images`, one table per
+variable count that maps each triplet bit to the bit of its image.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,104 +104,124 @@ def expand_to_elementary(X: int, Y: int, Z: int) -> frozenset[ElementaryTriplet]
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def permutation_images(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """For every permutation of the n variable positions, the bit that each
+    triplet bit moves to: ``permutation_images(n)[perm][b]`` is the bit of
+    ``canonical_triplets(n)[b].permuted(perm)``.  Built on first use."""
+    table = canonical_triplets(n)
+    idx = triplet_index(n)
+    return {
+        perm: tuple(idx[t.permuted(perm)] for t in table)
+        for perm in itertools.permutations(range(n))
+    }
+
+
+def permute_bits(bits: int, image: tuple[int, ...]) -> int:
+    """Image of a triplet bitmask under one entry of :func:`permutation_images`."""
+    out = 0
+    for b in bit_indices(bits):
+        out |= 1 << image[b]
+    return out
+
+
 @dataclass(frozen=True)
 class CIStructure:
-    """Set of canonical elementary triplets over a basic set."""
+    """Set of canonical elementary triplets over a basic set, stored as the
+    bitmask of their frozen bit positions."""
 
     base: BasicSet
-    members: frozenset[ElementaryTriplet]
+    bits: int
 
     def __post_init__(self):
-        idx = triplet_index(self.base.size)
-        for t in self.members:
-            if t not in idx:
-                raise ValueError(f"triplet {t} not valid over {self.base}")
+        if not 0 <= self.bits < 1 << bit_count_for(self.base.size):
+            raise ValueError("bitmask has bits beyond the triplet table")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def empty(base: BasicSet) -> "CIStructure":
-        return CIStructure(base, frozenset())
+        return CIStructure(base, 0)
 
     @staticmethod
     def full(base: BasicSet) -> "CIStructure":
-        return CIStructure(base, frozenset(canonical_triplets(base.size)))
-
-    @staticmethod
-    def from_bits(base: BasicSet, bits: int) -> "CIStructure":
-        table = canonical_triplets(base.size)
-        if bits >> len(table):
-            raise ValueError("bitmask has bits beyond the triplet table")
-        return CIStructure(base, frozenset(table[b] for b in bit_indices(bits)))
+        return CIStructure(base, (1 << bit_count_for(base.size)) - 1)
 
     @staticmethod
     def from_statements(
         base: BasicSet, statements: Iterable[tuple[str, str, Iterable[str]]]
     ) -> "CIStructure":
         """Build from (i-label, j-label, K-labels) statements."""
-        members = set()
+        idx = triplet_index(base.size)
+        bits = 0
         for i, j, K in statements:
-            members.add(
-                ElementaryTriplet.canonical(base.index(i), base.index(j), base.mask(K))
-            )
-        return CIStructure(base, frozenset(members))
+            t = ElementaryTriplet.canonical(base.index(i), base.index(j), base.mask(K))
+            bits |= 1 << idx[t]
+        return CIStructure(base, bits)
 
     # -- set algebra ---------------------------------------------------------
 
     def to_bits(self) -> int:
-        idx = triplet_index(self.base.size)
-        bits = 0
-        for t in self.members:
-            bits |= 1 << idx[t]
-        return bits
+        return self.bits
+
+    @property
+    def members(self) -> frozenset[ElementaryTriplet]:
+        return frozenset(self)
 
     def __contains__(self, t: ElementaryTriplet) -> bool:
-        return t in self.members
+        b = triplet_index(self.base.size).get(t)
+        return b is not None and self.bits >> b & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[ElementaryTriplet]:
-        return iter(sorted(self.members))
+        """Members in bit order, which is their sorted order."""
+        table = canonical_triplets(self.base.size)
+        return (table[b] for b in bit_indices(self.bits))
+
+    def _other_bits(self, other: "CIStructure") -> int:
+        """The other structure's bits, once its base is checked to be ours."""
+        if self.base != other.base:
+            raise ValueError("CI structures over different basic sets")
+        return other.bits
 
     def __and__(self, other: "CIStructure") -> "CIStructure":
-        if self.base != other.base:
-            raise ValueError("CI structures over different basic sets")
-        return CIStructure(self.base, self.members & other.members)
+        return CIStructure(self.base, self.bits & self._other_bits(other))
 
     def __or__(self, other: "CIStructure") -> "CIStructure":
-        if self.base != other.base:
-            raise ValueError("CI structures over different basic sets")
-        return CIStructure(self.base, self.members | other.members)
+        return CIStructure(self.base, self.bits | self._other_bits(other))
 
     def issubset(self, other: "CIStructure") -> bool:
-        if self.base != other.base:
-            raise ValueError("CI structures over different basic sets")
-        return self.members <= other.members
+        return self.bits & ~self._other_bits(other) == 0
 
     def permuted(self, perm: tuple[int, ...]) -> "CIStructure":
         """Image under a permutation of variable positions (labels fixed)."""
-        return CIStructure(self.base, frozenset(t.permuted(perm) for t in self.members))
+        try:
+            image = permutation_images(self.base.size)[tuple(perm)]
+        except KeyError:
+            raise ValueError(f"{perm} is not a permutation of the variable positions") from None
+        return CIStructure(self.base, permute_bits(self.bits, image))
 
     def with_base(self, base: BasicSet) -> "CIStructure":
         """Reindex onto another base carrying the same labels (any order)."""
         if set(base.names) != set(self.base.names):
             raise ValueError("new base must carry the same labels")
         perm = tuple(base.index(n) for n in self.base.names)
-        return CIStructure(base, frozenset(t.permuted(perm) for t in self.members))
+        return CIStructure(base, self.permuted(perm).bits)
 
     # -- rendering and serialization ----------------------------------------
 
     def to_hex(self) -> str:
         width = (bit_count_for(self.base.size) + 3) // 4
-        return format(self.to_bits(), f"0{width}x")
+        return format(self.bits, f"0{width}x")
 
     @staticmethod
     def from_hex(base: BasicSet, s: str) -> "CIStructure":
-        return CIStructure.from_bits(base, int(s, 16))
+        return CIStructure(base, int(s, 16))
 
     def render(self) -> str:
-        if not self.members:
+        if not self.bits:
             return "(empty)"
         return " ".join(t.render(self.base) for t in self)
 
@@ -216,11 +244,14 @@ class CIStructure:
             isinstance(data, dict)
             and isinstance(data.get("variables"), list)
             and isinstance(data.get("statements"), list)
-            and all(isinstance(s, dict) for s in data["statements"])
+            and all(
+                isinstance(s, dict) and isinstance(s.get("K", []), (list, str))
+                for s in data["statements"]
+            )
         ):
             raise ValueError(
                 'a CI structure is a JSON object whose "variables" is a list and '
-                'whose "statements" is a list of objects'
+                'whose "statements" is a list of objects with a list "K"'
             )
         base = BasicSet(data["variables"])
         stmts = [(s["i"], s["j"], s.get("K", [])) for s in data["statements"]]

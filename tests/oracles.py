@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles with the most
 direct (and slowest) method available: full-grid scans for the CI
 factorization, direct summation for marginals and entropies, repeated
-whole-table passes for rule closure, and a test of every one of the 2**24
-candidate structures for the enumerated families.  None of it shares code
+whole-table passes for rule closure, a test of every one of the 2**24
+candidate structures for the enumerated families, and permutation orbits
+relabeled triplet by triplet.  None of it shares code
 paths with the implementations under test.
 """
 
@@ -113,6 +114,29 @@ def brute_force_closed_family(rules):
         for start in range(0, 1 << 24, chunk)
     ]
     return np.concatenate(parts)
+
+
+def naive_orbit(bits, n=4):
+    """Images of a triplet bitmask under all n! relabelings of the variables,
+    computed on explicit (i, j, K) tuples; the frozen bit order is rebuilt
+    here as the sorted list of (i, j, K) with i < j and K avoiding both."""
+    triplets = sorted(
+        (i, j, K)
+        for i, j in itertools.combinations(range(n), 2)
+        for K in range(1 << n)
+        if not K & (1 << i | 1 << j)
+    )
+    position = {t: b for b, t in enumerate(triplets)}
+    members = [t for b, t in enumerate(triplets) if bits >> b & 1]
+    images = set()
+    for perm in itertools.permutations(range(n)):
+        image = 0
+        for i, j, K in members:
+            pi, pj = sorted((perm[i], perm[j]))
+            pK = sum(1 << perm[k] for k in range(n) if K >> k & 1)
+            image |= 1 << position[(pi, pj, pK)]
+        images.add(image)
+    return images
 
 
 def random_rational_setfn(rng, n=4, lo=-60, hi=60, max_den=12):

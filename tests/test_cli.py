@@ -47,10 +47,19 @@ class TestCheckCI:
 BAD_DISTRIBUTIONS = {
     "top-level-list": [1, 2],
     "density-not-list": {"variables": [{"name": "x", "cardinality": 2}], "density": 5},
+    "config-not-list": {
+        "variables": [{"name": "x", "cardinality": 2}],
+        "density": [{"config": 5, "prob": "1"}],
+    },
+    "cardinality-not-int": {
+        "variables": [{"name": "x", "cardinality": [2]}],
+        "density": [{"config": [0], "prob": "1"}],
+    },
 }
 BAD_STRUCTURES = {
     "top-level-list": [1, 2],
     "statements-not-list": {"variables": ["x", "y"], "statements": 5},
+    "K-not-list": {"variables": ["x", "y", "z"], "statements": [{"i": "x", "j": "y", "K": 5}]},
 }
 # argv with None where the input file goes
 LOADING_VERBS = [
@@ -173,6 +182,16 @@ class TestVerifyVerbs:
 
     def test_verify_inequality_bad_rule(self, capsys):
         assert main(["verify-inequality", "9"]) == 2
+
+    def test_verify_inequality_needs_a_sample(self, capsys):
+        assert main(["verify-inequality", "3", "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: --samples must be at least 1\n"
+
+    def test_tol_belongs_to_verify_inequality(self, capsys):
+        assert main(["verify-inequality", "3", "--samples", "5", "--tol", "1e-6"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["irreducibles", "--tol", "1e-6"])
+        assert exc.value.code == 2
 
 
 class TestIrreducibles:

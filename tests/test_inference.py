@@ -12,20 +12,19 @@ from cinfer.inference import (
     closure,
     closure_bits,
     dump_family,
-    enumerate_semigraphoids,
     ground_rules,
     is_closed,
     is_closed_bits,
-    meet,
     meet_closure,
     meet_closure_bits,
     orbit,
     orbit_bits,
+    semigraphoid_family,
 )
 from cinfer.sets import BasicSet
 from cinfer.structures import CIStructure, triplet_index
 
-from oracles import brute_force_closed_family, closed_members, naive_closure
+from oracles import brute_force_closed_family, closed_members, naive_closure, naive_orbit
 
 BASE = BasicSet(("x", "y", "z", "u"))
 IDX = triplet_index(4)
@@ -208,9 +207,10 @@ class TestEnumeration:
 
     def test_dump_format(self, tmp_path):
         path = tmp_path / "sg.txt"
-        count = enumerate_semigraphoids(dump=str(path))
+        family = semigraphoid_family()
+        dump_family(str(path), family)
         lines = path.read_text().splitlines()
-        assert len(lines) == count == 26_424
+        assert len(lines) == len(family) == 26_424
         assert lines[0] == "000000"
         assert lines[-1] == "ffffff"
         assert all(len(line) == 6 for line in lines[:100])
@@ -227,8 +227,8 @@ class TestMeets:
     def test_meet_is_intersection(self):
         s1 = CIStructure.from_statements(BASE, [("x", "y", ""), ("z", "u", "")])
         s2 = CIStructure.from_statements(BASE, [("x", "y", ""), ("x", "u", "z")])
-        assert meet(s1, s2) == CIStructure.from_statements(BASE, [("x", "y", "")])
-        assert meet(s1, s1) == s1
+        assert s1 & s2 == CIStructure.from_statements(BASE, [("x", "y", "")])
+        assert s1 & s1 == s1
 
     def test_meet_closure_contains_pairwise_meets(self):
         seeds = [
@@ -253,9 +253,18 @@ class TestOrbits:
         assert len(orbit(induced_ci_structure(catalog.get("EX2").distribution))) == 24
         assert len(orbit(CIStructure.full(BASE))) == 1
 
-    def test_orbit_bits_agrees(self):
+    def test_orbit_bits_agrees(self, ci_family):
         s = induced_ci_structure(catalog.get("EX3").distribution)
         assert {m.to_bits() for m in orbit(s)} == orbit_bits(s.to_bits())
+        irreducibles = [m.to_bits() for m in catalog.all_irreducibles()]
+        sample = random.Random(1098).sample(ci_family, 500)
+        for bits in irreducibles + sample:
+            assert orbit_bits(bits) == naive_orbit(bits)
+
+    def test_permutation_type_counts(self, sg_family, ci_family):
+        # permutation types of four-variable semi-graphoids and CI structures
+        assert len({min(orbit_bits(b)) for b in sg_family}) == 1_512
+        assert len({min(orbit_bits(b)) for b in ci_family}) == 1_098
 
     def test_orbit_of_closed_structure_is_closed(self):
         s = induced_ci_structure(catalog.get("CON4").distribution)

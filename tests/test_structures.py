@@ -81,7 +81,7 @@ class TestExpansion:
 class TestCIStructure:
     def test_bits_round_trip(self):
         s = CIStructure.from_statements(BASE, [("x", "y", ""), ("z", "u", "xy")])
-        assert CIStructure.from_bits(BASE, s.to_bits()) == s
+        assert CIStructure(BASE, s.to_bits()) == s
 
     def test_hex_round_trip(self):
         s = CIStructure.full(BASE)
