@@ -1,42 +1,50 @@
 """Exact discrete probability distributions over named variables.
 
-Densities are sparse maps from full configurations (one value index per
-variable) to rational probabilities that sum to exactly 1, so conditional
-independence is decided by exact rational arithmetic; entropy and
-Kullback-Leibler divergence are the only float-valued outputs.
-
-The module provides marginals, the factorization test behind the
-independence relation, conditional products of consonant distributions,
-entropy functions, lattice products (whose induced CI structure is the
-intersection of the factors' structures), and the intersection-variable
-extension for double-Markov pairs.
+A density is held as positive integer weights on its support over one
+common denominator D (probability w / D), reduced so that equal
+distributions store equal weights.  Marginals, the factorization test
+behind the independence relation, conditional products of consonant
+distributions and lattice products (whose induced CI structure is the
+intersection of the factors' structures) are integer arithmetic; fractions
+appear only at the boundary (input densities, ``prob``, ``items``,
+``marginal_density``, JSON).  Entropy functions and Kullback-Leibler
+divergence are the only float outputs.  The module also builds the
+intersection variable of double-Markov pairs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .sets import BasicSet, positions
+from .sets import BasicSet, checked_labels, positions
 from .setfn import SetFunction
-from .structures import CIStructure, canonical_triplets
+from .structures import CIStructure
 
 MaskLike = int | str | Iterable[str]
 
+# Input bound: Fraction builds 10**e for a decimal exponent e, so a JSON
+# "prob" literal may carry one within +-MAX_EXPONENT only, and the common
+# denominator of an input density is at most 10**MAX_EXPONENT.
+MAX_EXPONENT = 100
+_MAX_DENOMINATOR = 10**MAX_EXPONENT
+_EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
+
 
 @dataclass(frozen=True)
-class SampleSpace:
-    """Named variables with finite per-variable sample-space sizes.
+class SampleSpace(BasicSet):
+    """A basic set whose variables carry finite sample-space sizes.
 
-    Unlike a basic set, a sample space may consist of a single variable;
-    marginals and conditional-product factors need that.
+    Unlike a plain basic set, a sample space may consist of a single
+    variable; marginals and conditional-product factors need that.
     """
 
-    names: tuple[str, ...]
     cardinalities: tuple[int, ...]
 
     def __init__(self, names: Iterable[str], cardinalities: Iterable[int]):
@@ -44,61 +52,54 @@ class SampleSpace:
         cards = tuple(int(c) for c in cardinalities)
         if not names:
             raise ValueError("a sample space needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable labels in {names!r}")
         if len(cards) != len(names):
             raise ValueError("one cardinality per variable required")
         if any(c < 1 for c in cards):
             raise ValueError("cardinalities must be positive")
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", checked_labels(names))
         object.__setattr__(self, "cardinalities", cards)
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
     def base_set(self) -> BasicSet:
         return BasicSet(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
     def mask(self, names: MaskLike) -> int:
-        if isinstance(names, int):
-            if not 0 <= names <= self.full_mask:
-                raise ValueError(f"mask {names:#x} out of range")
-            return names
-        if isinstance(names, str):
-            names = [names] if names in self.names else list(names)
-        m = 0
-        for n in names:
-            m |= 1 << self.index(n)
-        return m
-
-    def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(n for i, n in enumerate(self.names) if mask >> i & 1)
+        """Mask of a label collection, or an integer mask checked for range."""
+        return self.check_mask(names) if isinstance(names, int) else super().mask(names)
 
 
-def _as_fraction(p) -> Fraction:
-    return p if isinstance(p, Fraction) else Fraction(p)
+def _probability(value) -> Fraction:
+    """A JSON "prob" value: an integer, "a/b", or a decimal whose exponent
+    is checked against MAX_EXPONENT before any Fraction is built."""
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 3 or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(
+                f"probability {text[:40]!r} has a decimal exponent beyond +-{MAX_EXPONENT}"
+            )
+    return Fraction(text)
+
+
+def _projector(idx: Sequence[int]):
+    """Function from a configuration to the tuple of its entries at idx."""
+    if len(idx) == 1:
+        k = idx[0]
+        return lambda cfg: (cfg[k],)
+    return itemgetter(*idx) if idx else lambda cfg: ()
 
 
 class JointDistribution:
     """Immutable sparse rational density over a sample space.
 
     Absent configurations carry probability zero; stored probabilities are
-    strictly positive and sum to exactly 1.
+    strictly positive and sum to exactly 1.  They are held as integer
+    weights over one common denominator (see the module docstring).
     """
 
     def __init__(self, space: SampleSpace, density: Mapping[tuple, object]):
         rows = {}
+        D = 1
         for cfg, p in density.items():
             cfg = tuple(int(v) for v in cfg)
             if len(cfg) != space.size:
@@ -106,18 +107,38 @@ class JointDistribution:
             for v, c in zip(cfg, space.cardinalities):
                 if not 0 <= v < c:
                     raise ValueError(f"value {v} out of range in configuration {cfg}")
-            p = _as_fraction(p)
+            p = p if isinstance(p, Fraction) else Fraction(p)
             if p < 0:
                 raise ValueError(f"negative probability at {cfg}")
             if p > 0:
                 if cfg in rows:
                     raise ValueError(f"duplicate configuration {cfg}")
                 rows[cfg] = p
-        if sum(rows.values()) != 1:
+                D = math.lcm(D, p.denominator)
+                if D > _MAX_DENOMINATOR:
+                    raise ValueError(f"common denominator exceeds 10**{MAX_EXPONENT}")
+        weights = {cfg: p.numerator * (D // p.denominator) for cfg, p in rows.items()}
+        if sum(weights.values()) != D:
             raise ValueError("probabilities must sum to exactly 1")
+        self._assign(space, weights, D)
+
+    @classmethod
+    def _from_weights(cls, space: SampleSpace, weights: dict, D: int) -> "JointDistribution":
+        """Distribution from positive integer weights that sum to D."""
+        P = cls.__new__(cls)
+        P._assign(space, weights, D)
+        return P
+
+    def _assign(self, space: SampleSpace, weights: dict, D: int) -> None:
+        g = math.gcd(D, *weights.values())
+        if g > 1:
+            weights = {cfg: w // g for cfg, w in weights.items()}
         self.space = space
-        self._density = dict(sorted(rows.items()))
-        self._marginals: dict[int, dict[tuple, Fraction]] = {}
+        self._D = D // g
+        self._weights: dict[tuple, int] = dict(sorted(weights.items()))
+        # integer marginal weights over _D, by variable mask
+        self._marginals = {space.full_mask: self._weights}
+        self._probs: dict[tuple, Fraction] | None = None
         self._structure: CIStructure | None = None
 
     # -- basic access --------------------------------------------------------
@@ -131,13 +152,17 @@ class JointDistribution:
         return self.space.cardinalities
 
     def support(self) -> list[tuple]:
-        return list(self._density)
+        return list(self._weights)
 
     def items(self):
-        return self._density.items()
+        """(configuration, probability) pairs in configuration order."""
+        if self._probs is None:
+            D = self._D
+            self._probs = {cfg: Fraction(w, D) for cfg, w in self._weights.items()}
+        return self._probs.items()
 
     def prob(self, cfg: tuple) -> Fraction:
-        return self._density.get(tuple(cfg), Fraction(0))
+        return Fraction(self._weights.get(tuple(cfg), 0), self._D)
 
     def mask(self, names: MaskLike) -> int:
         return self.space.mask(names)
@@ -146,28 +171,36 @@ class JointDistribution:
         return (
             isinstance(other, JointDistribution)
             and self.space == other.space
-            and self._density == other._density
+            and self._D == other._D
+            and self._weights == other._weights
         )
 
     def __repr__(self) -> str:
-        return f"JointDistribution({'/'.join(self.names)}, {len(self._density)} rows)"
+        return f"JointDistribution({'/'.join(self.names)}, {len(self._weights)} rows)"
 
     # -- marginal densities ----------------------------------------------------
 
+    def _marginal(self, mask: int) -> dict[tuple, int]:
+        """Marginal weights over the common denominator, keyed by
+        configurations of the variables in mask in base order; cached, and
+        summed from the smallest cached marginal of a superset."""
+        out = self._marginals.get(mask)
+        if out is None:
+            cache = self._marginals
+            source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
+            src_pos = positions(source, self.space.size)
+            project = _projector([k for k, v in enumerate(src_pos) if mask >> v & 1])
+            rows = cache[source]
+            out = cache[mask] = {}
+            for key, w in zip(map(project, rows), rows.values()):
+                out[key] = out.get(key, 0) + w
+        return out
+
     def marginal_density(self, A: MaskLike) -> dict[tuple, Fraction]:
         """Marginal density keyed by configurations of the variables in A,
-        in base order.  The empty mask yields {(): 1}."""
-        mask = self.space.mask(A)
-        cached = self._marginals.get(mask)
-        if cached is not None:
-            return cached
-        pos = positions(mask, self.space.size)
-        out: dict[tuple, Fraction] = defaultdict(Fraction)
-        for cfg, p in self._density.items():
-            out[tuple(cfg[k] for k in pos)] += p
-        result = dict(sorted(out.items()))
-        self._marginals[mask] = result
-        return result
+        in base order and sorted.  The empty mask yields {(): 1}."""
+        weights, D = self._marginal(self.space.mask(A)), self._D
+        return {cfg: Fraction(weights[cfg], D) for cfg in sorted(weights)}
 
     def reordered(self, names: Sequence[str]) -> "JointDistribution":
         """Same distribution with variables listed in another order."""
@@ -175,8 +208,9 @@ class JointDistribution:
             raise ValueError("reordering must carry exactly the same labels")
         perm = [self.space.index(n) for n in names]
         space = SampleSpace(names, [self.cardinalities[k] for k in perm])
-        return JointDistribution(
-            space, {tuple(cfg[k] for k in perm): p for cfg, p in self._density.items()}
+        project = _projector(perm)
+        return JointDistribution._from_weights(
+            space, {project(cfg): w for cfg, w in self._weights.items()}, self._D
         )
 
     # -- serialization -----------------------------------------------------------
@@ -189,7 +223,7 @@ class JointDistribution:
             ],
             "density": [
                 {"config": list(cfg), "prob": str(p)}
-                for cfg, p in self._density.items()
+                for cfg, p in self.items()
             ],
         }
 
@@ -222,7 +256,7 @@ class JointDistribution:
             cfg = tuple(row["config"])
             if cfg in density:
                 raise ValueError(f"duplicate configuration {cfg}")
-            density[cfg] = Fraction(str(row["prob"]))
+            density[cfg] = _probability(row["prob"])
         return JointDistribution(space, density)
 
     def dumps(self) -> str:
@@ -243,11 +277,9 @@ def marginal(P: JointDistribution, A: MaskLike) -> JointDistribution:
     mask = P.space.mask(A)
     if mask == 0:
         raise ValueError("marginal onto the empty set is the constant 1")
-    pos = positions(mask, P.space.size)
-    space = SampleSpace(
-        [P.names[k] for k in pos], [P.cardinalities[k] for k in pos]
-    )
-    return JointDistribution(space, P.marginal_density(mask))
+    keep = _projector(positions(mask, P.space.size))
+    space = SampleSpace(keep(P.names), keep(P.cardinalities))
+    return JointDistribution._from_weights(space, P._marginal(mask), P._D)
 
 
 def is_ci(P: JointDistribution, X: MaskLike, Y: MaskLike, Z: MaskLike) -> bool:
@@ -255,56 +287,34 @@ def is_ci(P: JointDistribution, X: MaskLike, Y: MaskLike, Z: MaskLike) -> bool:
     configuration.
 
     The sets need not be disjoint; with Y = X the test reads as functional
-    dependence of X on Z.  Configurations where p_XZ or p_YZ vanishes hold
-    automatically, so only the join of the two marginal supports is scanned.
+    dependence of X on Z.  Only the support of the XYZ-marginal is scanned.
+    That suffices: for fixed z with p(z) > 0, the terms p(xz) p(yz) / p(z)
+    over all consistent (x, y) are non-negative and sum to at most p(z).
+    Where the test holds on the support, the terms there equal p(xyz) and
+    already sum to p(z), so every term off the support, where p(xyz) = 0,
+    vanishes as well.
     """
     X, Y, Z = P.space.mask(X), P.space.mask(Y), P.space.mask(Z)
-    XZ, YZ, XYZ = X | Z, Y | Z, X | Y | Z
-    common = XZ & YZ
-    n = P.space.size
-    d_xyz = P.marginal_density(XYZ)
-    d_xz = P.marginal_density(XZ)
-    d_yz = P.marginal_density(YZ)
-    d_z = P.marginal_density(Z)
-
-    pos_xz, pos_yz, pos_xyz = positions(XZ, n), positions(YZ, n), positions(XYZ, n)
-    common_in_xz = [pos_xz.index(v) for v in positions(common, n)]
-    common_in_yz = [pos_yz.index(v) for v in positions(common, n)]
-    # assemble an XYZ-configuration from an XZ-part and a YZ-part
-    pick = [
-        (0, pos_xz.index(v)) if XZ >> v & 1 else (1, pos_yz.index(v))
-        for v in pos_xyz
-    ]
-    z_in_xyz = [pos_xyz.index(v) for v in positions(Z, n)]
-
-    grouped: dict[tuple, list] = defaultdict(list)
-    for a, pa in d_xz.items():
-        grouped[tuple(a[k] for k in common_in_xz)].append((a, pa))
-    zero = Fraction(0)
-    for b, pb in d_yz.items():
-        key = tuple(b[k] for k in common_in_yz)
-        for a, pa in grouped.get(key, ()):
-            parts = (a, b)
-            cfg = tuple(parts[s][k] for s, k in pick)
-            zcfg = tuple(cfg[k] for k in z_in_xyz)
-            if d_xyz.get(cfg, zero) * d_z.get(zcfg, zero) != pa * pb:
-                return False
+    d_xyz = P._marginal(X | Y | Z)
+    d_xz, d_yz, d_z = P._marginal(X | Z), P._marginal(Y | Z), P._marginal(Z)
+    pos = positions(X | Y | Z, P.space.size)
+    xz, yz, z = (
+        _projector([k for k, v in enumerate(pos) if M >> v & 1]) for M in (X | Z, Y | Z, Z)
+    )
+    for cfg, w in d_xyz.items():
+        if w * d_z[z(cfg)] != d_xz[xz(cfg)] * d_yz[yz(cfg)]:
+            return False
     return True
 
 
 def induced_ci_structure(P: JointDistribution) -> CIStructure:
     """Exact CI structure of the distribution: all canonical elementary
     triplets (i, j | K) passing the factorization test."""
-    if P._structure is not None:
-        return P._structure
-    base = P.space.base_set()
-    bits = 0
-    for b, t in enumerate(canonical_triplets(base.size)):
-        if is_ci(P, 1 << t.i, 1 << t.j, t.K):
-            bits |= 1 << b
-    structure = CIStructure(base, bits)
-    P._structure = structure
-    return structure
+    if P._structure is None:
+        P._structure = CIStructure.where(
+            P.space.base_set(), lambda X, Y, Z: is_ci(P, X, Y, Z)
+        )
+    return P._structure
 
 
 # ---------------------------------------------------------------------------
@@ -341,48 +351,33 @@ def conditional_product(
         raise ValueError("second factor must be a distribution over B + C")
 
     c_order = tuple(n for n in Q.names if n in C)
-    if any(
-        Q.cardinalities[Q.space.index(n)] != R.cardinalities[R.space.index(n)]
-        for n in C
-    ):
+    q_c = _projector([Q.space.index(n) for n in c_order])
+    r_c = _projector([R.space.index(n) for n in c_order])
+    r_extra = _projector([k for k, n in enumerate(R.names) if n not in C])
+    if q_c(Q.cardinalities) != r_c(R.cardinalities):
         raise ConsonanceError("shared variables must have equal sample spaces")
-    mq = _density_over(Q, c_order)
-    mr = _density_over(R, c_order)
-    if mq != mr:
+    # C-marginal weights of Q and R over their own denominators, in Q's order
+    mq = Q._marginal(Q.space.mask(c_order))
+    mr: dict[tuple, int] = defaultdict(int)
+    r_by_c: dict[tuple, list] = defaultdict(list)
+    for cfg, w in R._weights.items():
+        c = r_c(cfg)
+        mr[c] += w
+        r_by_c[c].append((r_extra(cfg), w))
+    Dq, Dr = Q._D, R._D
+    if {c: w * Dr for c, w in mq.items()} != {c: w * Dq for c, w in mr.items()}:
         raise ConsonanceError("factors disagree on the shared marginal")
 
-    names = Q.names + tuple(n for n in R.names if n not in C)
-    cards = Q.cardinalities + tuple(
-        R.cardinalities[R.space.index(n)] for n in R.names if n not in C
-    )
-    q_pos = list(range(Q.space.size))
-    r_extra = [k for k, n in enumerate(R.names) if n not in C]
-    r_c_pos = [R.space.index(n) for n in c_order]
-
-    r_by_c: dict[tuple, list] = defaultdict(list)
-    for cfg, p in R.items():
-        r_by_c[tuple(cfg[k] for k in r_c_pos)].append((tuple(cfg[k] for k in r_extra), p))
-
-    q_c_pos = [Q.space.index(n) for n in c_order]
+    space = SampleSpace(Q.names + r_extra(R.names), Q.cardinalities + r_extra(R.cardinalities))
+    # q r / m = wq wr (L / mq(c)) / (Dr L), with L the lcm of the mq(c)
+    L = math.lcm(*mq.values())
     density = {}
-    for qcfg, qp in Q.items():
-        ckey = tuple(qcfg[k] for k in q_c_pos)
-        norm = mq[ckey]
-        for extra, rp in r_by_c.get(ckey, ()):
-            density[tuple(qcfg[k] for k in q_pos) + extra] = qp * rp / norm
-    return JointDistribution(SampleSpace(names, cards), density)
-
-
-def _density_over(P: JointDistribution, labels: Sequence[str]) -> dict[tuple, Fraction]:
-    """Marginal density keyed by configurations in the given label order."""
-    mask = P.space.mask(labels)
-    pos = positions(mask, P.space.size)
-    ordered = [P.names[k] for k in pos]
-    base_keyed = P.marginal_density(mask)
-    if tuple(labels) == tuple(ordered):
-        return base_keyed
-    perm = [ordered.index(n) for n in labels]
-    return {tuple(cfg[k] for k in perm): p for cfg, p in base_keyed.items()}
+    for qcfg, wq in Q._weights.items():
+        c = q_c(qcfg)
+        scale = wq * (L // mq[c])
+        for extra, wr in r_by_c[c]:
+            density[qcfg + extra] = scale * wr
+    return JointDistribution._from_weights(space, density, Dr * L)
 
 
 def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribution:
@@ -395,15 +390,16 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")
     cards = tuple(qc * rc for qc, rc in zip(Q.cardinalities, R.cardinalities))
-    space = SampleSpace(Q.names, cards)
-    density = {}
-    for qcfg, qp in Q.items():
-        for rcfg, rp in R.items():
-            cfg = tuple(
-                qv * rc + rv for qv, rv, rc in zip(qcfg, rcfg, R.cardinalities)
-            )
-            density[cfg] = qp * rp
-    return JointDistribution(space, density)
+    shifted = [
+        (tuple(qv * rc for qv, rc in zip(qcfg, R.cardinalities)), wq)
+        for qcfg, wq in Q._weights.items()
+    ]
+    density = {
+        tuple(map(add, qpart, rcfg)): wq * wr
+        for qpart, wq in shifted
+        for rcfg, wr in R._weights.items()
+    }
+    return JointDistribution._from_weights(SampleSpace(Q.names, cards), density, Q._D * R._D)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +414,17 @@ def entropy_function(P: JointDistribution) -> SetFunction:
     polymatroid rank function and its vanishing difference expressions
     match the exact CI structure of P.
     """
-    base = P.space.base_set()
-    values = []
-    for m in base.subsets():
-        if m == 0:
-            values.append(0.0)
-            continue
+    D, full = P._D, P.space.full_mask
+    values = [0.0] * (full + 1)
+    # larger sets first, so that each marginal is summed from a small one
+    for m in range(full, 0, -1):
+        weights = P._marginal(m)
         h = 0.0
-        for p in P.marginal_density(m).values():
-            fp = float(p)
+        for cfg in sorted(weights):
+            fp = weights[cfg] / D
             h -= fp * math.log(fp)
-        values.append(h)
-    return SetFunction(base, tuple(values))
+        values[m] = h
+    return SetFunction(P.space.base_set(), tuple(values))
 
 
 class DominanceError(ValueError):
@@ -449,12 +444,14 @@ def kl_divergence(Q: JointDistribution, R: JointDistribution) -> float:
     """
     if Q.space != R.space:
         raise ValueError("divergence needs a shared sample space")
+    Dq, Dr = Q._D, R._D
     total = 0.0
-    for cfg, q in Q.items():
-        r = R.prob(cfg)
-        if r == 0:
+    for cfg, wq in Q._weights.items():
+        wr = R._weights.get(cfg)
+        if wr is None:
             raise DominanceError(cfg)
-        total += float(q) * math.log(float(q) / float(r))
+        q = wq / Dq
+        total += q * math.log(q / (wr / Dr))
     return total
 
 
@@ -481,60 +478,34 @@ def double_markov_extend(
         raise ValueError("A, B, C must be pairwise disjoint")
     if (A | B | C) != P.space.full_mask:
         sub = marginal(P, A | B | C)
-        return double_markov_extend(
-            sub, sub.space.mask(P.space.labels(A)), sub.space.mask(P.space.labels(B)),
-            sub.space.mask(P.space.labels(C)),
-        )
+        return double_markov_extend(sub, *(sub.space.mask(P.space.labels(M)) for M in (A, B, C)))
     if not (is_ci(P, A, B, C) and is_ci(P, A, C, B)):
         raise ValueError("premises violated: need A indep B | C and A indep C | B")
 
-    n = P.space.size
-    bc = B | C
-    support = list(P.marginal_density(bc))
-    pos_bc = positions(bc, n)
-    b_in_bc = [pos_bc.index(v) for v in positions(B, n)]
-    c_in_bc = [pos_bc.index(v) for v in positions(C, n)]
+    pos_bc = positions(B | C, P.space.size)
+    b_part = _projector([k for k, v in enumerate(pos_bc) if B >> v & 1])
+    c_part = _projector([k for k, v in enumerate(pos_bc) if C >> v & 1])
+    # W's classes: the components of the graph that links the B-part and the
+    # C-part of each BC-support row, numbered by first appearance
+    parent: dict[tuple, tuple] = {}
 
-    parent = list(range(len(support)))
+    def find(node: tuple) -> tuple:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
 
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
+    support = sorted(P._marginal(B | C))
+    for cfg in support:
+        parent[find((0,) + b_part(cfg))] = find((1,) + c_part(cfg))
+    classes: dict[tuple, int] = {}
+    class_of = {cfg: classes.setdefault(find((1,) + c_part(cfg)), len(classes)) for cfg in support}
 
-    def union(k, l):
-        rk, rl = find(k), find(l)
-        if rk != rl:
-            parent[max(rk, rl)] = min(rk, rl)
-
-    for proj in (b_in_bc, c_in_bc):
-        first_seen: dict[tuple, int] = {}
-        for k, cfg in enumerate(support):
-            key = tuple(cfg[t] for t in proj)
-            if key in first_seen:
-                union(first_seen[key], k)
-            else:
-                first_seen[key] = k
-
-    class_of: dict[tuple, int] = {}
-    class_ids: dict[int, int] = {}
-    for k, cfg in enumerate(support):
-        root = find(k)
-        if root not in class_ids:
-            class_ids[root] = len(class_ids)
-        class_of[cfg] = class_ids[root]
-
-    w_name = "w"
-    serial = 1
+    w_name, serial = "w", 1
     while w_name in P.names:
         serial += 1
         w_name = f"w{serial}"
-    space = SampleSpace(
-        P.names + (w_name,), P.cardinalities + (len(class_ids),)
-    )
-    density = {}
-    for cfg, p in P.items():
-        w = class_of[tuple(cfg[k] for k in pos_bc)]
-        density[cfg + (w,)] = p
-    return JointDistribution(space, density)
+    space = SampleSpace(P.names + (w_name,), P.cardinalities + (len(classes),))
+    bc = _projector(pos_bc)
+    density = {cfg + (class_of[bc(cfg)],): w for cfg, w in P._weights.items()}
+    return JointDistribution._from_weights(space, density, P._D)

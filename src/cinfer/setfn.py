@@ -23,7 +23,7 @@ from numbers import Rational
 from typing import Callable, Mapping
 
 from .sets import BasicSet, bit_indices, pairwise_disjoint, popcount, submasks
-from .structures import CIStructure, canonical_triplets
+from .structures import CIStructure
 
 Value = Fraction | int | float
 
@@ -369,11 +369,7 @@ def induced_ci_structure_of_rank(
     """
     _require_polymatroid(h, tol)
     eps = _default_tol(h, tol)
-    bits = 0
-    for b, t in enumerate(canonical_triplets(h.base.size)):
-        if abs(delta(h, 1 << t.i, 1 << t.j, t.K)) <= eps:
-            bits |= 1 << b
-    return CIStructure(h.base, bits)
+    return CIStructure.where(h.base, lambda X, Y, Z: abs(delta(h, X, Y, Z)) <= eps)
 
 
 def rank_functions_equal_upto_scale(

@@ -27,11 +27,7 @@ class BasicSet:
         names = tuple(names)
         if len(names) < 2:
             raise ValueError("a basic set needs at least 2 variables")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable labels in {names!r}")
-        if any(not n for n in names):
-            raise ValueError("variable labels must be non-empty strings")
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", checked_labels(names))
 
     @property
     def size(self) -> int:
@@ -108,6 +104,15 @@ class BasicSet:
 
     def __repr__(self) -> str:
         return f"BasicSet({', '.join(self.names)})"
+
+
+def checked_labels(names: tuple) -> tuple[str, ...]:
+    """The labels, once checked to be distinct non-empty strings."""
+    if not all(isinstance(n, str) and n for n in names):
+        raise ValueError("variable labels must be non-empty strings")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable labels in {names!r}")
+    return names
 
 
 def bit_indices(mask: int) -> Iterator[int]:

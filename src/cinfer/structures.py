@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .sets import BasicSet, bit_indices, pairwise_disjoint, submasks
 
@@ -146,6 +146,16 @@ class CIStructure:
     @staticmethod
     def full(base: BasicSet) -> "CIStructure":
         return CIStructure(base, (1 << bit_count_for(base.size)) - 1)
+
+    @staticmethod
+    def where(base: BasicSet, holds: Callable[[int, int, int], bool]) -> "CIStructure":
+        """The canonical triplets (i, j | K) over the base for which
+        ``holds(1 << i, 1 << j, K)`` is true."""
+        bits = 0
+        for b, t in enumerate(canonical_triplets(base.size)):
+            if holds(1 << t.i, 1 << t.j, t.K):
+                bits |= 1 << b
+        return CIStructure(base, bits)
 
     @staticmethod
     def from_statements(

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -55,11 +56,29 @@ BAD_DISTRIBUTIONS = {
         "variables": [{"name": "x", "cardinality": [2]}],
         "density": [{"config": [0], "prob": "1"}],
     },
+    # Fraction would build 10**10000000 for this exponent
+    "prob-exponent": {
+        "variables": [{"name": "x", "cardinality": 2}],
+        "density": [{"config": [0], "prob": "1e-10000000"}, {"config": [1], "prob": "1"}],
+    },
+    # sums to 1, over a denominator of 10**101
+    "prob-denominator": {
+        "variables": [{"name": "x", "cardinality": 2}, {"name": "y", "cardinality": 2}],
+        "density": [
+            {"config": [0, 0], "prob": "1/1" + "0" * 101},
+            {"config": [1, 1], "prob": "9" * 101 + "/1" + "0" * 101},
+        ],
+    },
+    "name-not-string": {
+        "variables": [{"name": "x", "cardinality": 2}, {"name": 5, "cardinality": 2}],
+        "density": [{"config": [0, 0], "prob": "1"}],
+    },
 }
 BAD_STRUCTURES = {
     "top-level-list": [1, 2],
     "statements-not-list": {"variables": ["x", "y"], "statements": 5},
     "K-not-list": {"variables": ["x", "y", "z"], "statements": [{"i": "x", "j": "y", "K": 5}]},
+    "labels-not-strings": {"variables": [1, 2, 3], "statements": [{"i": 1, "j": 2, "K": [3]}]},
 }
 # argv with None where the input file goes
 LOADING_VERBS = [
@@ -83,7 +102,9 @@ class TestMalformedInput:
     def test_wrong_json_shape_is_an_input_error(self, argv, document, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(document))
+        start = time.perf_counter()
         assert main([str(path) if a is None else a for a in argv]) == 2
+        assert time.perf_counter() - start < 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,11 +1,13 @@
 """Exact distribution algebra: marginals, CI tests, products, entropy,
 divergence, and the intersection-variable extension."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cinfer import catalog
 from cinfer.dist import (
@@ -22,14 +24,21 @@ from cinfer.dist import (
     marginal,
 )
 from cinfer.inequalities import random_distribution
+from cinfer.inference import ground_rules
+from cinfer.sets import BasicSet
 from cinfer.setfn import delta
 
-from oracles import brute_force_is_ci, entropy_of_subset, marginal_table
+from oracles import brute_force_is_ci, entropy_of_subset, marginal_table, naive_closure
 
 EX1 = catalog.get("EX1").distribution
 EX5 = catalog.get("EX5").distribution
 CON1 = catalog.get("CON1").distribution
 FULL = catalog.get("FULL").distribution
+
+NAMES = ("x", "y", "z", "u")
+ALL_RULES = ground_rules(BasicSet(NAMES), "all")
+# (A, B, C) splits of the four variables for conditional products
+SPLITS = [(("x",), ("y",), ("z", "u")), (("z",), ("x", "u"), ("y",)), (("x", "y"), ("z", "u"), ())]
 
 # the three-variable marginal of the fifth counterexample onto (x, z, u),
 # as printed: eight rows over sixty-fourths
@@ -109,7 +118,7 @@ class TestMarginal:
             mask = rng.randrange(1, 16)
             keep = [k for k in range(4) if mask >> k & 1]
             assert P.marginal_density(mask) == marginal_table(
-                P._density, P.cardinalities, keep
+                dict(P.items()), P.cardinalities, keep
             )
 
     def test_empty_marginal_rejected(self):
@@ -143,8 +152,22 @@ class TestIsCI:
             P = random_distribution(rng)
             X, Y, Z = rng.randrange(16), rng.randrange(16), rng.randrange(16)
             assert is_ci(P, X, Y, Z) == brute_force_is_ci(
-                P._density, P.cardinalities, X, Y, Z
+                dict(P.items()), P.cardinalities, X, Y, Z
             ), (P.support(), X, Y, Z)
+        # conditional products (A independent of B given C by construction)
+        # and lattice products of two binary factors, with X == Y queries too
+        binary = (2, 2, 2, 2)
+        for k in range(60):
+            A, B, C = SPLITS[k % 3]
+            source = random_distribution(rng)
+            glued = conditional_product(marginal(source, A + C), marginal(source, B + C), A, B, C)
+            pair = random_distribution(rng, cards=binary), random_distribution(rng, cards=binary)
+            for P in (glued, lattice_product(*pair)):
+                X, Y, Z = rng.randrange(16), rng.randrange(16), rng.randrange(16)
+                for Y in (Y, X):
+                    assert is_ci(P, X, Y, Z) == brute_force_is_ci(
+                        dict(P.items()), P.cardinalities, X, Y, Z
+                    ), (P.support(), X, Y, Z)
 
 
 class TestConditionalProduct:
@@ -223,7 +246,7 @@ class TestEntropy:
             for m in range(16):
                 keep = [k for k in range(4) if m >> k & 1]
                 assert float(h.values[m]) == pytest.approx(
-                    entropy_of_subset(P._density, P.cardinalities, keep), abs=1e-11
+                    entropy_of_subset(dict(P.items()), P.cardinalities, keep), abs=1e-11
                 )
 
     def test_vanishing_difference_iff_independent(self, catalog_entries):
@@ -405,3 +428,34 @@ class TestInducedStructure:
     def test_fifth_counterexample_two_statements(self):
         s = induced_ci_structure(EX5)
         assert {t.render(s.base) for t in s} == {"(x,z|u)", "(y,u|z)"}
+
+
+@st.composite
+def distributions(draw, cards=None):
+    """Exact distribution over x, y, z, u from up to twelve integer weights."""
+    if cards is None:
+        cards = tuple(draw(st.sampled_from((1, 2, 3))) for _ in NAMES)
+    grid = list(itertools.product(*(range(c) for c in cards)))
+    rows = draw(st.dictionaries(st.sampled_from(grid), st.integers(1, 9), min_size=1, max_size=12))
+    total = sum(rows.values())
+    return JointDistribution(
+        SampleSpace(NAMES, cards), {cfg: Fraction(w, total) for cfg, w in rows.items()}
+    )
+
+
+class TestStructureProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(distributions(), st.sampled_from(SPLITS))
+    def test_induced_structures_are_closed(self, P, split):
+        A, B, C = split
+        glued = conditional_product(marginal(P, A + C), marginal(P, B + C), A, B, C)
+        for Q in (P, glued):
+            bits = induced_ci_structure(Q).bits
+            assert naive_closure(bits, ALL_RULES) == bits
+
+    @settings(max_examples=50, deadline=None)
+    @given(distributions(cards=(2, 2, 2, 2)), distributions())
+    def test_lattice_product_structure_is_the_meet(self, Q, R):
+        bits = induced_ci_structure(lattice_product(Q, R)).bits
+        assert bits == (induced_ci_structure(Q) & induced_ci_structure(R)).bits
+        assert naive_closure(bits, ALL_RULES) == bits
