@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .sets import BasicSet, checked_labels, positions
+from .sets import BasicSet, check_variable_count, checked_labels, positions
 from .setfn import SetFunction
 from .structures import CIStructure
 
@@ -65,6 +65,11 @@ class SampleSpace(BasicSet):
     def mask(self, names: MaskLike) -> int:
         """Mask of a label collection, or an integer mask checked for range."""
         return self.check_mask(names) if isinstance(names, int) else super().mask(names)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON's true and false are Python ints but not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _probability(value) -> Fraction:
@@ -239,11 +244,11 @@ class JointDistribution:
                 'a distribution is a JSON object whose "variables" and "density" '
                 "are lists of objects"
             )
-        if not all(isinstance(v.get("cardinality"), int) for v in data["variables"]):
+        check_variable_count(data["variables"])
+        if not all(_is_int(v.get("cardinality")) for v in data["variables"]):
             raise ValueError('every variable needs an integer "cardinality"')
         if not all(
-            isinstance(row.get("config"), list)
-            and all(isinstance(v, int) for v in row["config"])
+            isinstance(row.get("config"), list) and all(_is_int(v) for v in row["config"])
             for row in data["density"]
         ):
             raise ValueError('every density row needs a "config" list of integers')

@@ -203,22 +203,18 @@ class GroundRule:
     conclusion_bits: int
 
 
-def _pattern_bits(pattern: Pattern, assignment: dict[str, int], n: int) -> int:
-    idx = triplet_index(n)
-
-    def mask(letters: str) -> int:
-        m = 0
-        for ch in letters:
-            m |= assignment[ch]
-        return m
-
+def _pattern_bits(patterns: Sequence[Pattern]) -> int:
+    """Triplet bits of the patterns at X, Y, Z, U = x, y, z, u."""
+    idx = triplet_index(4)
     bits = 0
-    for t in expand_to_elementary(mask(pattern[0]), mask(pattern[1]), mask(pattern[2])):
-        bits |= 1 << idx[t]
+    for pattern in patterns:
+        masks = (sum(1 << "XYZU".index(ch) for ch in part) for part in pattern)
+        for t in expand_to_elementary(*masks):
+            bits |= 1 << idx[t]
     return bits
 
 
-def _exchange_instances(n: int) -> list[GroundRule]:
+def _exchange_instances(n: int) -> list[tuple[int, int]]:
     """Semi-graphoid exchange {(i,j|kK), (i,k|K)} => {(i,j|K), (i,k|jK)} for
     all ordered (i, j, k) and K; the converse is the (i, k, j) instance."""
     idx = triplet_index(n)
@@ -232,16 +228,19 @@ def _exchange_instances(n: int) -> list[GroundRule]:
             b = 1 << idx[ElementaryTriplet.canonical(i, k, K)]
             c = 1 << idx[ElementaryTriplet.canonical(i, j, K)]
             d = 1 << idx[ElementaryTriplet.canonical(i, k, K | 1 << j)]
-            out.append(GroundRule(a | b, c | d))
-            out.append(GroundRule(c | d, a | b))
+            out += [(a | b, c | d), (c | d, a | b)]
     return out
 
 
 @lru_cache(maxsize=None)
 def _ground_rules_cached(n: int, ruleset: str) -> tuple[GroundRule, ...]:
+    """Exchange instances, plus for ``"all"`` each equivalence and
+    implication under the 24 assignments of X, Y, Z, U to the variables:
+    grounded once at x, y, z, u and moved through :func:`permutation_images`,
+    since relabeling commutes with :func:`expand_to_elementary`."""
     if ruleset not in RULESETS:
         raise ValueError(f"ruleset must be one of {RULESETS}")
-    rules: list[GroundRule] = _exchange_instances(n)
+    rules = _exchange_instances(n)
     if ruleset == "all":
         if n != 4:
             raise ValueError(
@@ -250,24 +249,13 @@ def _ground_rules_cached(n: int, ruleset: str) -> tuple[GroundRule, ...]:
         for rule in RULES.values():
             if rule.id in ("S0", "S1", "S2"):
                 continue
-            for perm in itertools.permutations(range(4)):
-                assignment = dict(zip("XYZU", (1 << p for p in perm)))
-                pre = 0
-                for pat in rule.premises:
-                    pre |= _pattern_bits(pat, assignment, n)
-                con = 0
-                for pat in rule.conclusions:
-                    con |= _pattern_bits(pat, assignment, n)
-                rules.append(GroundRule(pre, con))
-                if rule.bidirectional:
-                    rules.append(GroundRule(con, pre))
+            pre, con = _pattern_bits(rule.premises), _pattern_bits(rule.conclusions)
+            for image in permutation_images(4).values():
+                p, c = permute_bits(pre, image), permute_bits(con, image)
+                rules += [(p, c), (c, p)] if rule.bidirectional else [(p, c)]
     # drop no-op instances, dedup, freeze order
-    seen = {}
-    for r in rules:
-        if r.conclusion_bits & ~r.premise_bits == 0:
-            continue
-        seen[(r.premise_bits, r.conclusion_bits)] = r
-    return tuple(seen[k] for k in sorted(seen))
+    pairs = {(p, c) for p, c in rules if c & ~p}
+    return tuple(GroundRule(p, c) for p, c in sorted(pairs))
 
 
 def ground_rules(base: BasicSet, ruleset: str = "all") -> tuple[GroundRule, ...]:
@@ -467,19 +455,13 @@ def dump_family(
 
 def meet_closure_bits(seed_bits: Iterable[int], n: int = 4) -> set[int]:
     """Least intersection-closed family of triplet bitsets containing the
-    seeds and the full structure."""
-    full = (1 << bit_count_for(n)) - 1
-    seeds = sorted({int(b) for b in seed_bits})
-    family = set(seeds)
-    family.add(full)
-    queue = list(family)
-    while queue:
-        w = queue.pop()
-        for s in seeds:
-            c = w & s
-            if c not in family:
-                family.add(c)
-                queue.append(c)
+    seeds and the full structure.  It is the set of meets of all subsets of
+    the seeds (the empty subset giving the full structure), so each distinct
+    seed ``s`` in turn adds the meet with ``s`` of every member so far."""
+    family = {(1 << bit_count_for(n)) - 1}
+    for s in {int(b) for b in seed_bits}:
+        for w in tuple(family):
+            family.add(w & s)
     return family
 
 

@@ -17,8 +17,10 @@ subject of the conditional inequality checkers in :mod:`cinfer.inequalities`.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Callable, Mapping
 
@@ -221,19 +223,35 @@ def substitute_pattern(
     return part(pattern[0]), part(pattern[1]), part(pattern[2])
 
 
+@lru_cache(maxsize=None)
+def _compiled_mask_form(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rewriting k as the placeholder sets (bit 0 for X .. bit 3 for U) whose
+    values it adds and subtracts, once its sixteen terms cancel."""
+    coefficient: Counter = Counter()
+    for sign, pattern in MASK_TERMS[k]:
+        a, b, c = substitute_pattern(pattern, 1, 2, 4, 8)
+        for m, s in ((a | c, sign), (b | c, sign), (a | b | c, -sign), (c, -sign)):
+            coefficient[m] += s
+    return tuple(coefficient.elements()), tuple((-coefficient).elements())
+
+
 def mask_form(h: SetFunction, k: int, X: int, Y: int, Z: int, U: int) -> Value:
-    """Evaluate rewriting k (1..5) of the Ingleton expression as a signed
-    sum of four difference expressions.  Agrees with :func:`ingleton` on
-    every set function."""
+    """Evaluate rewriting k (1..5) of the Ingleton expression, a signed sum of
+    four difference expressions.  Each is linear in the values of h, so the
+    sum is compiled once into values added and subtracted.  Agrees with
+    :func:`ingleton` on every set function."""
     if k not in MASK_TERMS:
         raise ValueError(f"mask form index must be 1..5, got {k}")
+    for m in (X, Y, Z, U):
+        h.base.check_mask(m)
     if not pairwise_disjoint(X, Y, Z, U):
         raise ValueError("mask forms require pairwise disjoint sets")
-    total: Value = 0
-    for sign, pattern in MASK_TERMS[k]:
-        a, b, c = substitute_pattern(pattern, X, Y, Z, U)
-        total = total + sign * delta(h, a, b, c)
-    return total
+    unions = [0]
+    for m in (X, Y, Z, U):
+        unions += [w | m for w in unions]
+    added, subtracted = _compiled_mask_form(k)
+    v = h.values
+    return sum(v[unions[t]] for t in added) - sum(v[unions[t]] for t in subtracted)
 
 
 # ---------------------------------------------------------------------------

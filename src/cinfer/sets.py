@@ -106,6 +106,18 @@ class BasicSet:
         return f"BasicSet({', '.join(self.names)})"
 
 
+# The file loaders accept at most this many variables: a structure over n
+# variables has C(n,2) * 2**(n-2) elementary triplets (11,520 at n = 10), and
+# inducing one tests each of them.
+MAX_VARIABLES = 10
+
+
+def check_variable_count(variables: list) -> None:
+    """Reject a loaded variable list longer than MAX_VARIABLES."""
+    if len(variables) > MAX_VARIABLES:
+        raise ValueError(f"at most {MAX_VARIABLES} variables are supported, got {len(variables)}")
+
+
 def checked_labels(names: tuple) -> tuple[str, ...]:
     """The labels, once checked to be distinct non-empty strings."""
     if not all(isinstance(n, str) and n for n in names):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .sets import BasicSet, bit_indices, pairwise_disjoint, submasks
+from .sets import BasicSet, bit_indices, check_variable_count, pairwise_disjoint, submasks
 
 
 @dataclass(frozen=True, order=True)
@@ -263,6 +263,7 @@ class CIStructure:
                 'a CI structure is a JSON object whose "variables" is a list and '
                 'whose "statements" is a list of objects with a list "K"'
             )
+        check_variable_count(data["variables"])
         base = BasicSet(data["variables"])
         stmts = [(s["i"], s["j"], s.get("K", [])) for s in data["statements"]]
         return CIStructure.from_statements(base, stmts)

@@ -4,8 +4,9 @@ Everything here recomputes results from first principles with the most
 direct (and slowest) method available: full-grid scans for the CI
 factorization, direct summation for marginals and entropies, repeated
 whole-table passes for rule closure, a test of every one of the 2**24
-candidate structures for the enumerated families, and permutation orbits
-relabeled triplet by triplet.  None of it shares code
+candidate structures for the enumerated families, permutation orbits
+relabeled triplet by triplet, rules grounded afresh under every assignment
+of their placeholders, and a worklist meet-closure.  None of it shares code
 paths with the implementations under test.
 """
 
@@ -116,18 +117,23 @@ def brute_force_closed_family(rules):
     return np.concatenate(parts)
 
 
-def naive_orbit(bits, n=4):
-    """Images of a triplet bitmask under all n! relabelings of the variables,
-    computed on explicit (i, j, K) tuples; the frozen bit order is rebuilt
-    here as the sorted list of (i, j, K) with i < j and K avoiding both."""
+def triplet_positions(n):
+    """The frozen bit order rebuilt as the sorted list of (i, j, K) with
+    i < j and K avoiding both, as a map from tuple to bit."""
     triplets = sorted(
         (i, j, K)
         for i, j in itertools.combinations(range(n), 2)
         for K in range(1 << n)
         if not K & (1 << i | 1 << j)
     )
-    position = {t: b for b, t in enumerate(triplets)}
-    members = [t for b, t in enumerate(triplets) if bits >> b & 1]
+    return {t: b for b, t in enumerate(triplets)}
+
+
+def naive_orbit(bits, n=4):
+    """Images of a triplet bitmask under all n! relabelings of the variables,
+    computed on explicit (i, j, K) tuples."""
+    position = triplet_positions(n)
+    members = [t for t, b in position.items() if bits >> b & 1]
     images = set()
     for perm in itertools.permutations(range(n)):
         image = 0
@@ -144,3 +150,51 @@ def random_rational_setfn(rng, n=4, lo=-60, hi=60, max_den=12):
     return tuple(
         Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(1 << n)
     )
+
+
+def naive_ground_rules(rules, n=4):
+    """(premise, conclusion) bit pairs of abstract rules under each of the n!
+    assignments of the placeholders X, Y, Z, U to the variables, no-ops
+    dropped.  ``rules`` holds (premises, conclusions, bidirectional) with
+    patterns of placeholder strings; every pattern (A, B | C) is expanded
+    afresh for each assignment into the (i, j, K) with i in A, j in B and
+    C <= K <= (A | B | C) minus {i, j}."""
+    position = triplet_positions(n)
+
+    def bits(patterns, assign):
+        out = 0
+        for pattern in patterns:
+            A, B, C = (sum(1 << assign[ch] for ch in part) for part in pattern)
+            for i, j in itertools.product(range(n), repeat=2):
+                if A >> i & 1 and B >> j & 1:
+                    free = (A | B | C) & ~(1 << i | 1 << j)
+                    for K in range(1 << n):
+                        if K & C == C and K & ~free == 0:
+                            out |= 1 << position[(min(i, j), max(i, j), K)]
+        return out
+
+    pairs = set()
+    for premises, conclusions, bidirectional in rules:
+        for perm in itertools.permutations(range(n)):
+            assign = dict(zip("XYZU", perm))
+            p, c = bits(premises, assign), bits(conclusions, assign)
+            pairs.add((p, c))
+            if bidirectional:
+                pairs.add((c, p))
+    return {(p, c) for p, c in pairs if c & ~p}
+
+
+def worklist_meet_closure(seeds, full=(1 << 24) - 1):
+    """Meet-closure by a worklist: each new member is met with every seed
+    until no meet is new.  The full structure is always a member."""
+    seeds = sorted(set(seeds))
+    family = set(seeds) | {full}
+    queue = list(family)
+    while queue:
+        w = queue.pop()
+        for s in seeds:
+            c = w & s
+            if c not in family:
+                family.add(c)
+                queue.append(c)
+    return family

@@ -45,6 +45,7 @@ class TestCheckCI:
         assert main(["check-ci", str(tmp_path / "nope.json"), "x _||_ y | "]) == 2
 
 
+ELEVEN_LABELS = ["x", "y", "z", "u", "a", "b", "c", "d", "e", "f", "g"]
 BAD_DISTRIBUTIONS = {
     "top-level-list": [1, 2],
     "density-not-list": {"variables": [{"name": "x", "cardinality": 2}], "density": 5},
@@ -73,12 +74,29 @@ BAD_DISTRIBUTIONS = {
         "variables": [{"name": "x", "cardinality": 2}, {"name": 5, "cardinality": 2}],
         "density": [{"config": [0, 0], "prob": "1"}],
     },
+    # JSON true and false are Python ints; over x, y, z, u so every verb
+    # would otherwise run
+    "cardinality-bool": {
+        "variables": [{"name": "x", "cardinality": True}]
+        + [{"name": n, "cardinality": 2} for n in "yzu"],
+        "density": [{"config": [0, 0, 0, 0], "prob": "1"}],
+    },
+    "config-bool": {
+        "variables": [{"name": n, "cardinality": 2} for n in "xyzu"],
+        "density": [{"config": [False, True, False, True], "prob": "1"}],
+    },
+    # one row over eleven variables: C(11,2) * 2**9 = 28,160 triplets
+    "eleven-variables": {
+        "variables": [{"name": n, "cardinality": 1} for n in ELEVEN_LABELS],
+        "density": [{"config": [0] * 11, "prob": "1"}],
+    },
 }
 BAD_STRUCTURES = {
     "top-level-list": [1, 2],
     "statements-not-list": {"variables": ["x", "y"], "statements": 5},
     "K-not-list": {"variables": ["x", "y", "z"], "statements": [{"i": "x", "j": "y", "K": 5}]},
     "labels-not-strings": {"variables": [1, 2, 3], "statements": [{"i": 1, "j": 2, "K": [3]}]},
+    "eleven-variables": {"variables": ELEVEN_LABELS, "statements": []},
 }
 # argv with None where the input file goes
 LOADING_VERBS = [

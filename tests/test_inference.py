@@ -24,7 +24,14 @@ from cinfer.inference import (
 from cinfer.sets import BasicSet
 from cinfer.structures import CIStructure, triplet_index
 
-from oracles import brute_force_closed_family, closed_members, naive_closure, naive_orbit
+from oracles import (
+    brute_force_closed_family,
+    closed_members,
+    naive_closure,
+    naive_ground_rules,
+    naive_orbit,
+    worklist_meet_closure,
+)
 
 BASE = BasicSet(("x", "y", "z", "u"))
 IDX = triplet_index(4)
@@ -87,6 +94,18 @@ class TestGroundRules:
         )
         with pytest.raises(ValueError):
             ground_rules(five, "all")
+
+    def test_matches_per_permutation_oracle(self):
+        abstract = [
+            (r.premises, r.conclusions, r.bidirectional)
+            for r in RULES.values()
+            if r.id[0] in "EI"
+        ]
+        assert len(abstract) == 24
+        exchange = {(r.premise_bits, r.conclusion_bits) for r in ground_rules(BASE, "sg")}
+        expected = naive_ground_rules(abstract) | exchange
+        assert len(expected) == ALL_RULE_COUNT
+        assert {(r.premise_bits, r.conclusion_bits) for r in ground_rules(BASE, "all")} == expected
 
     def test_rule_table_ids(self):
         assert set(RULES) == (
@@ -245,6 +264,16 @@ class TestMeets:
     def test_meet_closure_bits_of_single_seed(self):
         seed = bits_of(("x", "y", ""))
         assert meet_closure_bits([seed]) == {seed, (1 << 24) - 1}
+
+    def test_meet_closure_bits_matches_worklist_oracle(self):
+        irreducibles = [m.to_bits() for m in catalog.all_irreducibles()]
+        rng = random.Random(9292)
+        for _ in range(50):
+            seeds = rng.sample(irreducibles, rng.randint(1, len(irreducibles)))
+            assert meet_closure_bits(seeds) == worklist_meet_closure(seeds)
+        assert meet_closure_bits([]) == worklist_meet_closure([]) == {(1 << 24) - 1}
+        doubled = irreducibles[:20] * 2 + irreducibles[5:15]
+        assert meet_closure_bits(doubled) == worklist_meet_closure(irreducibles[:20])
 
 
 class TestOrbits:

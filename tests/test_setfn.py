@@ -9,7 +9,9 @@ import pytest
 
 from cinfer import catalog
 from cinfer.sets import BasicSet
+from cinfer.inequalities import FLOAT_TOL, random_distribution
 from cinfer.setfn import (
+    MASK_TERMS,
     SetFunction,
     cardinality_function,
     delta,
@@ -19,6 +21,7 @@ from cinfer.setfn import (
     is_polymatroid,
     is_tight,
     mask_form,
+    substitute_pattern,
     tighten,
     upper_indicator,
 )
@@ -142,6 +145,23 @@ class TestMaskForms:
             direct = ingleton(h, *groups)
             for k in range(1, 6):
                 assert mask_form(h, k, *groups) == direct
+
+    def test_forms_match_four_delta_sum_on_entropy_functions(self):
+        # the uncompiled formula: each rewriting as its four signed
+        # difference expressions, summed in table order
+        rng = random.Random(23)
+        dists = [e.distribution for e in catalog.entries() if e.distribution is not None]
+        assert len(dists) == 15
+        dists += [random_distribution(rng) for _ in range(50)]
+        for P in dists:
+            h = entropy_function(P)
+            masks = [P.space.mask(n) for n in ("x", "y", "z", "u")]
+            for k in range(1, 6):
+                reference = sum(
+                    sign * delta_from_table(h.values, *substitute_pattern(pattern, *masks))
+                    for sign, pattern in MASK_TERMS[k]
+                )
+                assert abs(mask_form(h, k, *masks) - reference) <= FLOAT_TOL
 
     def test_hxy_first_form(self):
         assert mask_form(HXY, 1, X, Y, Z, U) == Fraction(-1)
