@@ -10,6 +10,12 @@ appear only at the boundary (input densities, ``prob``, ``items``,
 ``marginal_density``, JSON).  Entropy functions and Kullback-Leibler
 divergence are the only float outputs.  The module also builds the
 intersection variable of double-Markov pairs.
+
+Each distribution caches its integer marginals by mask.  Entropy and the
+induced structure fill all 2**n of them top-down, each summed from the mask
+one variable up; a one-off marginal comes from the smallest cached superset.
+Projectors and factorization-test plans depend only on the shape of a query
+and are compiled once per variable count and masks.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .sets import BasicSet, check_variable_count, checked_labels, positions
 from .setfn import SetFunction
-from .structures import CIStructure
+from .structures import CIStructure, canonical_triplets
 
 MaskLike = int | str | Iterable[str]
 
@@ -94,6 +101,23 @@ def _projector(idx: Sequence[int]):
     return itemgetter(*idx) if idx else lambda cfg: ()
 
 
+# The projector and plan caches are bounded: their keys include masks that
+# callers of the public functions choose.
+@lru_cache(maxsize=4096)
+def _sub_projector(n: int, source: int, mask: int):
+    """Projector from configurations of the variables in source (in base
+    order, out of n) to configurations of its subset mask."""
+    return _projector([k for k, v in enumerate(positions(source, n)) if mask >> v & 1])
+
+
+def _summed(rows: dict[tuple, int], project) -> dict[tuple, int]:
+    """Weights of rows added up over their projections."""
+    out: dict[tuple, int] = {}
+    for key, w in zip(map(project, rows), rows.values()):
+        out[key] = out.get(key, 0) + w
+    return out
+
+
 class JointDistribution:
     """Immutable sparse rational density over a sample space.
 
@@ -113,15 +137,16 @@ class JointDistribution:
                 if not 0 <= v < c:
                     raise ValueError(f"value {v} out of range in configuration {cfg}")
             p = p if isinstance(p, Fraction) else Fraction(p)
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError(f"negative probability at {cfg}")
-            if p > 0:
+            if p.numerator:
                 if cfg in rows:
                     raise ValueError(f"duplicate configuration {cfg}")
                 rows[cfg] = p
-                D = math.lcm(D, p.denominator)
-                if D > _MAX_DENOMINATOR:
-                    raise ValueError(f"common denominator exceeds 10**{MAX_EXPONENT}")
+                if D % p.denominator:
+                    D = math.lcm(D, p.denominator)
+                    if D > _MAX_DENOMINATOR:
+                        raise ValueError(f"common denominator exceeds 10**{MAX_EXPONENT}")
         weights = {cfg: p.numerator * (D // p.denominator) for cfg, p in rows.items()}
         if sum(weights.values()) != D:
             raise ValueError("probabilities must sum to exactly 1")
@@ -187,19 +212,29 @@ class JointDistribution:
 
     def _marginal(self, mask: int) -> dict[tuple, int]:
         """Marginal weights over the common denominator, keyed by
-        configurations of the variables in mask in base order; cached, and
-        summed from the smallest cached marginal of a superset."""
-        out = self._marginals.get(mask)
-        if out is None:
-            cache = self._marginals
+        configurations of the variables in mask in base order.
+
+        Cached.  A one-off marginal is summed from the smallest cached
+        marginal of a superset, so a query on a wide sparse distribution
+        touches no intermediate marginal; :meth:`_all_marginals` fills the
+        whole lattice when every mask is needed.
+        """
+        cache = self._marginals
+        if mask not in cache:
             source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
-            src_pos = positions(source, self.space.size)
-            project = _projector([k for k, v in enumerate(src_pos) if mask >> v & 1])
-            rows = cache[source]
-            out = cache[mask] = {}
-            for key, w in zip(map(project, rows), rows.values()):
-                out[key] = out.get(key, 0) + w
-        return out
+            cache[mask] = _summed(cache[source], _sub_projector(self.space.size, source, mask))
+        return cache[mask]
+
+    def _all_marginals(self) -> dict[int, dict[tuple, int]]:
+        """The marginal weights of every mask, filled in descending mask
+        order: each missing mask is summed from the marginal one variable up,
+        ``mask | (mask + 1)`` (its lowest missing bit set)."""
+        cache, n = self._marginals, self.space.size
+        for mask in range((1 << n) - 2, -1, -1):
+            if mask not in cache:
+                source = mask | (mask + 1)
+                cache[mask] = _summed(cache[source], _sub_projector(n, source, mask))
+        return cache
 
     def marginal_density(self, A: MaskLike) -> dict[tuple, Fraction]:
         """Marginal density keyed by configurations of the variables in A,
@@ -299,26 +334,49 @@ def is_ci(P: JointDistribution, X: MaskLike, Y: MaskLike, Z: MaskLike) -> bool:
     already sum to p(z), so every term off the support, where p(xyz) = 0,
     vanishes as well.
     """
-    X, Y, Z = P.space.mask(X), P.space.mask(Y), P.space.mask(Z)
-    d_xyz = P._marginal(X | Y | Z)
-    d_xz, d_yz, d_z = P._marginal(X | Z), P._marginal(Y | Z), P._marginal(Z)
-    pos = positions(X | Y | Z, P.space.size)
-    xz, yz, z = (
-        _projector([k for k, v in enumerate(pos) if M >> v & 1]) for M in (X | Z, Y | Z, Z)
-    )
+    space = P.space
+    plan = _ci_plan(space.size, space.mask(X), space.mask(Y), space.mask(Z))
+    return _factorizes(P._marginal, plan)
+
+
+@lru_cache(maxsize=4096)
+def _ci_plan(n: int, X: int, Y: int, Z: int) -> tuple:
+    """The masks XYZ, XZ, YZ, Z of a factorization test over n variables and
+    the projectors from XYZ-configurations onto the last three."""
+    xyz = X | Y | Z
+    return (xyz, X | Z, Y | Z, Z, *(_sub_projector(n, xyz, M) for M in (X | Z, Y | Z, Z)))
+
+
+def _factorizes(marginal, plan: tuple) -> bool:
+    """The factorization test of :func:`is_ci` under a plan; ``marginal``
+    maps a mask to its marginal weights."""
+    xyz, xz, yz, z, p_xz, p_yz, p_z = plan
+    d_xyz = marginal(xyz)
+    d_xz, d_yz, d_z = marginal(xz), marginal(yz), marginal(z)
     for cfg, w in d_xyz.items():
-        if w * d_z[z(cfg)] != d_xz[xz(cfg)] * d_yz[yz(cfg)]:
+        if w * d_z[p_z(cfg)] != d_xz[p_xz(cfg)] * d_yz[p_yz(cfg)]:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _structure_plan(n: int) -> tuple[tuple, ...]:
+    """The factorization plan of every canonical triplet over n variables,
+    in bit order."""
+    return tuple(_ci_plan(n, 1 << t.i, 1 << t.j, t.K) for t in canonical_triplets(n))
 
 
 def induced_ci_structure(P: JointDistribution) -> CIStructure:
     """Exact CI structure of the distribution: all canonical elementary
     triplets (i, j | K) passing the factorization test."""
     if P._structure is None:
-        P._structure = CIStructure.where(
-            P.space.base_set(), lambda X, Y, Z: is_ci(P, X, Y, Z)
-        )
+        base = P.space.base_set()
+        marginal = P._all_marginals().__getitem__
+        bits = 0
+        for b, plan in enumerate(_structure_plan(base.size)):
+            if _factorizes(marginal, plan):
+                bits |= 1 << b
+        P._structure = CIStructure(base, bits)
     return P._structure
 
 
@@ -419,11 +477,10 @@ def entropy_function(P: JointDistribution) -> SetFunction:
     polymatroid rank function and its vanishing difference expressions
     match the exact CI structure of P.
     """
-    D, full = P._D, P.space.full_mask
+    D, full, marginals = P._D, P.space.full_mask, P._all_marginals()
     values = [0.0] * (full + 1)
-    # larger sets first, so that each marginal is summed from a small one
-    for m in range(full, 0, -1):
-        weights = P._marginal(m)
+    for m in range(1, full + 1):
+        weights = marginals[m]
         h = 0.0
         for cfg in sorted(weights):
             fp = weights[cfg] / D
@@ -487,9 +544,8 @@ def double_markov_extend(
     if not (is_ci(P, A, B, C) and is_ci(P, A, C, B)):
         raise ValueError("premises violated: need A indep B | C and A indep C | B")
 
-    pos_bc = positions(B | C, P.space.size)
-    b_part = _projector([k for k, v in enumerate(pos_bc) if B >> v & 1])
-    c_part = _projector([k for k, v in enumerate(pos_bc) if C >> v & 1])
+    n = P.space.size
+    b_part, c_part = _sub_projector(n, B | C, B), _sub_projector(n, B | C, C)
     # W's classes: the components of the graph that links the B-part and the
     # C-part of each BC-support row, numbered by first appearance
     parent: dict[tuple, tuple] = {}
@@ -511,6 +567,6 @@ def double_markov_extend(
         serial += 1
         w_name = f"w{serial}"
     space = SampleSpace(P.names + (w_name,), P.cardinalities + (len(classes),))
-    bc = _projector(pos_bc)
+    bc = _sub_projector(n, P.space.full_mask, B | C)
     density = {cfg + (class_of[bc(cfg)],): w for cfg, w in P._weights.items()}
     return JointDistribution._from_weights(space, density, P._D)

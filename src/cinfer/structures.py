@@ -11,8 +11,9 @@ A CI structure is a set of such triplets over a fixed basic set, stored as
 one integer whose bit ``b`` marks the triplet at position ``b``; set algebra
 on structures is integer arithmetic, and triplet objects are made only when
 a structure is iterated (bit order equals sorted order).  A permutation of
-the variables acts through :func:`permutation_images`, one table per
-variable count that maps each triplet bit to the bit of its image.
+the variables moves each set bit to the bit of its image triplet; for up
+to six variables, :func:`permutation_images` tabulates those images for
+every permutation at once (orbits and the relabeled ground rules).
 """
 
 from __future__ import annotations
@@ -104,11 +105,20 @@ def expand_to_elementary(X: int, Y: int, Z: int) -> frozenset[ElementaryTriplet]
     return frozenset(out)
 
 
+# permutation_images(n) holds n! * C(n,2) * 2**(n-2) entries: 172,800 at
+# n = 6, 3.4 million at n = 7.
+MAX_PERMUTATION_TABLE_VARIABLES = 6
+
+
 @lru_cache(maxsize=None)
 def permutation_images(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """For every permutation of the n variable positions, the bit that each
     triplet bit moves to: ``permutation_images(n)[perm][b]`` is the bit of
-    ``canonical_triplets(n)[b].permuted(perm)``.  Built on first use."""
+    ``canonical_triplets(n)[b].permuted(perm)``.  Built on first use, for at
+    most MAX_PERMUTATION_TABLE_VARIABLES variables."""
+    if n > MAX_PERMUTATION_TABLE_VARIABLES:
+        limit = MAX_PERMUTATION_TABLE_VARIABLES
+        raise ValueError(f"permutation tables cover at most {limit} variables, got {n}")
     table = canonical_triplets(n)
     idx = triplet_index(n)
     return {
@@ -207,11 +217,15 @@ class CIStructure:
 
     def permuted(self, perm: tuple[int, ...]) -> "CIStructure":
         """Image under a permutation of variable positions (labels fixed)."""
-        try:
-            image = permutation_images(self.base.size)[tuple(perm)]
-        except KeyError:
-            raise ValueError(f"{perm} is not a permutation of the variable positions") from None
-        return CIStructure(self.base, permute_bits(self.bits, image))
+        n = self.base.size
+        perm = tuple(perm)
+        if len(perm) != n or set(perm) != set(range(n)):
+            raise ValueError(f"{perm} is not a permutation of the variable positions")
+        table, idx = canonical_triplets(n), triplet_index(n)
+        bits = 0
+        for b in bit_indices(self.bits):
+            bits |= 1 << idx[table[b].permuted(perm)]
+        return CIStructure(self.base, bits)
 
     def with_base(self, base: BasicSet) -> "CIStructure":
         """Reindex onto another base carrying the same labels (any order)."""

@@ -129,20 +129,22 @@ def triplet_positions(n):
     return {t: b for b, t in enumerate(triplets)}
 
 
-def naive_orbit(bits, n=4):
-    """Images of a triplet bitmask under all n! relabelings of the variables,
+def naive_image(bits, perm, n=4):
+    """Image of a triplet bitmask under one relabeling of the variables,
     computed on explicit (i, j, K) tuples."""
     position = triplet_positions(n)
-    members = [t for t, b in position.items() if bits >> b & 1]
-    images = set()
-    for perm in itertools.permutations(range(n)):
-        image = 0
-        for i, j, K in members:
+    image = 0
+    for (i, j, K), b in position.items():
+        if bits >> b & 1:
             pi, pj = sorted((perm[i], perm[j]))
             pK = sum(1 << perm[k] for k in range(n) if K >> k & 1)
             image |= 1 << position[(pi, pj, pK)]
-        images.add(image)
-    return images
+    return image
+
+
+def naive_orbit(bits, n=4):
+    """Images of a triplet bitmask under all n! relabelings of the variables."""
+    return {naive_image(bits, perm, n) for perm in itertools.permutations(range(n))}
 
 
 def random_rational_setfn(rng, n=4, lo=-60, hi=60, max_den=12):

@@ -23,10 +23,10 @@ from cinfer.dist import (
     lattice_product,
     marginal,
 )
-from cinfer.inequalities import random_distribution
+from cinfer.inequalities import FLOAT_TOL, random_distribution
 from cinfer.inference import ground_rules
 from cinfer.sets import BasicSet
-from cinfer.setfn import delta
+from cinfer.setfn import delta, induced_ci_structure_of_rank
 
 from oracles import brute_force_is_ci, entropy_of_subset, marginal_table, naive_closure
 
@@ -431,16 +431,22 @@ class TestInducedStructure:
 
 
 @st.composite
-def distributions(draw, cards=None):
-    """Exact distribution over x, y, z, u from up to twelve integer weights."""
+def distributions(draw, cards=None, names=NAMES):
+    """Exact distribution over the names (x, y, z, u by default) from up to
+    twelve integer weights."""
     if cards is None:
-        cards = tuple(draw(st.sampled_from((1, 2, 3))) for _ in NAMES)
+        cards = tuple(draw(st.sampled_from((1, 2, 3))) for _ in names)
     grid = list(itertools.product(*(range(c) for c in cards)))
     rows = draw(st.dictionaries(st.sampled_from(grid), st.integers(1, 9), min_size=1, max_size=12))
     total = sum(rows.values())
     return JointDistribution(
-        SampleSpace(NAMES, cards), {cfg: Fraction(w, total) for cfg, w in rows.items()}
+        SampleSpace(names, cards), {cfg: Fraction(w, total) for cfg, w in rows.items()}
     )
+
+
+def over(sizes):
+    """Distributions over the first n of a, b, c, d, e, for n drawn from sizes."""
+    return st.sampled_from(sizes).flatmap(lambda n: distributions(names=tuple("abcde"[:n])))
 
 
 class TestStructureProperties:
@@ -459,3 +465,27 @@ class TestStructureProperties:
         bits = induced_ci_structure(lattice_product(Q, R)).bits
         assert bits == (induced_ci_structure(Q) & induced_ci_structure(R)).bits
         assert naive_closure(bits, ALL_RULES) == bits
+
+
+class TestLatticeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(over((1, 2, 3, 4, 5)), st.lists(st.integers(0, 31), max_size=3))
+    def test_filled_lattice_matches_direct_summation(self, P, queried):
+        # one-off marginals cached first must not disturb the top-down fill
+        n = P.space.size
+        for mask in queried:
+            P.marginal_density(mask % (1 << n))
+        lattice = P._all_marginals()
+        assert sorted(lattice) == list(range(1 << n))
+        density = dict(P.items())
+        for mask, weights in lattice.items():
+            keep = [k for k in range(n) if mask >> k & 1]
+            assert {cfg: Fraction(w, P._D) for cfg, w in weights.items()} == marginal_table(
+                density, P.cardinalities, keep
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(over((2, 3, 4, 5)))
+    def test_entropy_structure_matches_exact_structure(self, P):
+        h = entropy_function(P)
+        assert induced_ci_structure_of_rank(h, FLOAT_TOL) == induced_ci_structure(P)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cinfer import catalog
 from cinfer.dist import induced_ci_structure
@@ -149,6 +150,18 @@ class TestClosure:
             assert closure_bits(c) == c  # idempotent
             bigger = seed | rng.getrandbits(24)
             assert c & ~closure_bits(bigger) == 0  # monotone
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, (1 << 24) - 1),
+        st.integers(0, (1 << 24) - 1),
+        st.sampled_from(("sg", "all")),
+    )
+    def test_closure_operator_laws(self, seed, extra, ruleset):
+        c = closure_bits(seed, 4, ruleset)
+        assert seed & ~c == 0  # extensive
+        assert closure_bits(c, 4, ruleset) == c  # idempotent
+        assert c & ~closure_bits(seed | extra, 4, ruleset) == 0  # monotone
 
     def test_is_closed_examples(self):
         assert is_closed(induced_ci_structure(catalog.get("EX1").distribution))

@@ -1,15 +1,22 @@
 """Canonical triplets, elementary expansion, and CI-structure containers."""
 
+import random
+import time
+
 import pytest
 
+from cinfer.inference import orbit, orbit_bits
 from cinfer.sets import BasicSet
 from cinfer.structures import (
     CIStructure,
     ElementaryTriplet,
+    bit_count_for,
     canonical_triplets,
     expand_to_elementary,
     triplet_index,
 )
+
+from oracles import naive_image
 
 BASE = BasicSet(("x", "y", "z", "u"))
 X, Y, Z, U = 1, 2, 4, 8
@@ -114,6 +121,32 @@ class TestCIStructure:
         moved = s.with_base(flipped)
         assert moved.members == {ElementaryTriplet(1, 3, 1)}  # (z,x|u) there
         assert moved.with_base(BASE) == s
+
+    def test_permuted_rejects_non_permutations(self):
+        s = CIStructure.full(BASE)
+        for perm in [(0, 1, 2), (0, 0, 2, 3), (0, 1, 2, 4), (1, 2, 3, 4)]:
+            with pytest.raises(ValueError, match="not a permutation"):
+                s.permuted(perm)
+
+    def test_with_base_on_seven_variables(self):
+        # moving one structure builds no table of all 7! permutations
+        base = BasicSet("abcdefg")
+        shuffled = BasicSet("dgbface")
+        bits = random.Random(7).getrandbits(bit_count_for(7))
+        s = CIStructure(base, bits)
+        start = time.perf_counter()
+        moved = s.with_base(shuffled)
+        assert time.perf_counter() - start < 0.5
+        perm = tuple(shuffled.index(n) for n in base.names)
+        assert moved.bits == naive_image(bits, perm, 7)
+        assert moved.with_base(base) == s
+
+    def test_orbit_beyond_the_table_bound_raises(self):
+        s = CIStructure.empty(BasicSet("abcdefg"))
+        with pytest.raises(ValueError, match="at most 6 variables"):
+            orbit(s)
+        with pytest.raises(ValueError, match="at most 6 variables"):
+            orbit_bits(1, 7)
 
     def test_bit_positions_documented_order(self):
         idx = triplet_index(4)
