@@ -164,6 +164,8 @@ def cmd_verify_inequality(args) -> int:
         raise ValueError("rule id must be 1..5")
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.samples > inequalities.MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {inequalities.MAX_SAMPLES}")
     tol = args.tol if args.tol is not None else inequalities.FLOAT_TOL
     reports = inequalities.sample_conditional_inequality(args.rule, samples=args.samples)
     low = min(r.ingleton_value for r in reports)

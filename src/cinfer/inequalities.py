@@ -30,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from . import catalog
@@ -52,6 +53,10 @@ from .setfn import (
 
 FLOAT_TOL = 1e-9
 NEGATIVE_MARGIN = 1e-3
+
+# `cinfer verify-inequality --samples` accepts at most this many samples:
+# each takes about 0.3 ms and its report is kept until the summary.
+MAX_SAMPLES = 100_000
 
 Pattern = tuple[str, str, str]
 
@@ -303,12 +308,13 @@ def _canonical_pattern(p: Pattern) -> tuple:
     return (frozenset((frozenset(p[0]), frozenset(p[1]))), frozenset(p[2]))
 
 
-def _indicator_functions() -> list[SetFunction]:
+@lru_cache(maxsize=None)
+def _indicator_functions() -> tuple[SetFunction, ...]:
     out = []
     for T in _FORMAL_BASE.subsets():
         values = tuple(Fraction(1) if m == T else Fraction(0) for m in _FORMAL_BASE.subsets())
         out.append(SetFunction(_FORMAL_BASE, values))
-    return out
+    return tuple(out)
 
 
 def _functionals_equal(lhs, rhs) -> bool:
@@ -422,7 +428,8 @@ def random_distribution(
     max_support: int = 10,
     max_weight: int = 9,
 ) -> JointDistribution:
-    """Random sparse rational distribution for property tests."""
+    """Random sparse rational distribution for property tests: integer
+    weights on a random support, over their sum."""
     from .dist import SampleSpace
 
     if cards is None:
@@ -431,9 +438,9 @@ def random_distribution(
     size = rng.randint(2, min(max_support, len(grid)))
     support = rng.sample(grid, size)
     weights = [rng.randint(1, max_weight) for _ in support]
-    total = sum(weights)
-    density = {cfg: Fraction(w, total) for cfg, w in zip(support, weights)}
-    return JointDistribution(SampleSpace(names, cards), density)
+    return JointDistribution._from_weights(
+        SampleSpace(names, cards), dict(zip(support, weights)), sum(weights)
+    )
 
 
 def random_premise_enforcing_distribution(

@@ -14,17 +14,19 @@ sufficient; the brute-force scan of the test oracles confirms it).
 Over four variables the closed structures are listed directly instead of
 being sought among the 2**24 candidates: Close-by-One (Kuznetsov, 1993)
 enumerates the 26,424 semi-graphoids as the closed sets of the exchange
-rules, and filtering them through the remaining rules leaves the 18,478
-closed structures, which also arise as the meet-closure of 92 irreducible
-members (see :mod:`cinfer.catalog`).
+rules, and filtering them bit-sliced through the remaining rules leaves the
+18,478 closed structures, which also arise as the meet-closure of 92
+irreducible members (see :mod:`cinfer.catalog`).
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .sets import BasicSet, bit_indices, submasks
@@ -395,27 +397,44 @@ def _semigraphoids() -> tuple[int, ...]:
     return tuple(sorted(_close_by_one(4, "sg")))
 
 
+# Members per chunk of the bit-sliced filter; it bounds the transient packed
+# integer, column string and planes (about 0.1 MB at 2,048).
+_CHUNK = 2048
+
+
 @lru_cache(maxsize=None)
 def _ci_structures() -> tuple[int, ...]:
     # Every CI structure is a semi-graphoid, so only the rules of "all" that
-    # are not exchange rules are tested.  A rule is filed under its lowest
-    # premise bit and tested only when the structure holds that bit.
+    # are not exchange rules are tested, on the family bit-sliced in chunks:
+    # reading plane t of a chunk in binary from the left gives triplet bit t
+    # of each member in order.  A member breaks rule (p, c) when it holds
+    # every premise bit and misses a conclusion bit outside p, so the
+    # members that break it are the AND of the premise planes with the OR
+    # of the complemented conclusion planes.
     exchange = set(_ground_rules_cached(4, "sg"))
-    by_low_bit: list[list[tuple[int, int]]] = [[] for _ in range(bit_count_for(4))]
+    rules = []
     for r in _ground_rules_cached(4, "all"):
         if r not in exchange:
             p = r.premise_bits
-            by_low_bit[(p & -p).bit_length() - 1].append((p, r.conclusion_bits))
+            rules.append((tuple(bit_indices(p)), tuple(bit_indices(r.conclusion_bits & ~p))))
+    family = _semigraphoids()
 
-    def closed(bits: int) -> bool:
-        missing = ~bits
-        for b in bit_indices(bits):
-            for p, c in by_low_bit[b]:
-                if p & missing == 0 and c & missing:
-                    return False
-        return True
+    def closed_members(chunk: tuple[int, ...]) -> Iterable[int]:
+        # the members as 32-bit lanes of one integer, the first on the left
+        packed = int.from_bytes(struct.pack(f">{len(chunk)}I", *chunk), "big")
+        columns = f"{packed:0{32 * len(chunk)}b}"
+        ones = (1 << len(chunk)) - 1
+        planes = [int(columns[31 - t :: 32], 2) for t in range(bit_count_for(4))]
+        missing = [ones ^ plane for plane in planes]
+        broken = 0
+        for premise, conclusion in rules:
+            broken |= reduce(and_, map(planes.__getitem__, premise)) & reduce(
+                or_, map(missing.__getitem__, conclusion)
+            )
+        return itertools.compress(chunk, map("1".__eq__, f"{ones & ~broken:0{len(chunk)}b}"))
 
-    return tuple(bits for bits in _semigraphoids() if closed(bits))
+    chunks = (family[start : start + _CHUNK] for start in range(0, len(family), _CHUNK))
+    return tuple(itertools.chain.from_iterable(map(closed_members, chunks)))
 
 
 # The public families are plain functions over the cached helpers: callers

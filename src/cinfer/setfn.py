@@ -4,8 +4,11 @@ the CI structure induced by a rank function.
 
 A set function assigns a value to every subset of a basic set.  Values are
 either exact (int / Fraction, used for rank functions) or floats (used for
-entropy functions); every operation is generic over both.  The central
-quantity is the difference expression
+entropy functions).  The linear forms below are written once and evaluated
+over either kind: an exact function is read as integer numerators over one
+common denominator, cached on first use, and divided once at the end; a
+float function is read as it is.  The central quantity is the difference
+expression
 
     delta(h, X, Y, Z) = h(XZ) + h(YZ) - h(XYZ) - h(Z)
 
@@ -17,10 +20,11 @@ subject of the conditional inequality checkers in :mod:`cinfer.inequalities`.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Rational
 from typing import Callable, Mapping
 
@@ -58,6 +62,21 @@ class SetFunction:
     def __call__(self, mask: int) -> Value:
         self.base.check_mask(mask)
         return self.values[mask]
+
+    @cached_property
+    def _linear_values(self) -> tuple[tuple, int | None]:
+        """Values to evaluate a linear form on, and the denominator to divide
+        its result by (None: no division).  Ints and Fractions with at least
+        one Fraction become integer numerators over their least common
+        denominator; other tables (all int, or with a float, a bool or
+        another number type) are used as they are.  Cached outside the
+        dataclass fields, so equality, hash and repr do not see it."""
+        values = self.values
+        if set(map(type, values)) - {int} != {Fraction}:
+            return values, None
+        ratios = [v.as_integer_ratio() for v in values]
+        D = math.lcm(*[d for _, d in ratios])
+        return tuple([n * (D // d) for n, d in ratios]), D
 
     # -- constructors --------------------------------------------------------
 
@@ -164,8 +183,9 @@ def delta(h: SetFunction, X: int, Y: int, Z: int) -> Value:
     """
     for m in (X, Y, Z):
         h.base.check_mask(m)
-    v = h.values
-    return v[X | Z] + v[Y | Z] - v[X | Y | Z] - v[Z]
+    v, D = h._linear_values
+    value = v[X | Z] + v[Y | Z] - v[X | Y | Z] - v[Z]
+    return value if D is None else Fraction(value, D)
 
 
 def ingleton(h: SetFunction, X: int, Y: int, Z: int, U: int) -> Value:
@@ -179,8 +199,8 @@ def ingleton(h: SetFunction, X: int, Y: int, Z: int, U: int) -> Value:
         h.base.check_mask(m)
     if not pairwise_disjoint(X, Y, Z, U):
         raise ValueError("Ingleton expression requires pairwise disjoint sets")
-    v = h.values
-    return (
+    v, D = h._linear_values
+    value = (
         -v[X | Y]
         + v[X | Z]
         + v[X | U]
@@ -192,6 +212,7 @@ def ingleton(h: SetFunction, X: int, Y: int, Z: int, U: int) -> Value:
         - v[X | Z | U]
         - v[Y | Z | U]
     )
+    return value if D is None else Fraction(value, D)
 
 
 # The five four-term rewritings of the Ingleton expression.  Each term is a
@@ -223,35 +244,45 @@ def substitute_pattern(
     return part(pattern[0]), part(pattern[1]), part(pattern[2])
 
 
-@lru_cache(maxsize=None)
-def _compiled_mask_form(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rewriting k as the placeholder sets (bit 0 for X .. bit 3 for U) whose
-    values it adds and subtracts, once its sixteen terms cancel."""
+# Bounded: callers choose the masks.
+@lru_cache(maxsize=4096)
+def _compiled_mask_form(
+    k: int, X: int, Y: int, Z: int, U: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rewriting k at X, Y, Z, U as the masks whose values it adds and
+    subtracts once its sixteen terms cancel.  The terms cancel over the
+    placeholder sets (bit 0 for X .. bit 3 for U), which are mapped to
+    masks afterwards."""
     coefficient: Counter = Counter()
     for sign, pattern in MASK_TERMS[k]:
         a, b, c = substitute_pattern(pattern, 1, 2, 4, 8)
         for m, s in ((a | c, sign), (b | c, sign), (a | b | c, -sign), (c, -sign)):
             coefficient[m] += s
-    return tuple(coefficient.elements()), tuple((-coefficient).elements())
+    unions = [0]
+    for m in (X, Y, Z, U):
+        unions += [w | m for w in unions]
+    return (
+        tuple(unions[t] for t in coefficient.elements()),
+        tuple(unions[t] for t in (-coefficient).elements()),
+    )
 
 
 def mask_form(h: SetFunction, k: int, X: int, Y: int, Z: int, U: int) -> Value:
     """Evaluate rewriting k (1..5) of the Ingleton expression, a signed sum of
     four difference expressions.  Each is linear in the values of h, so the
-    sum is compiled once into values added and subtracted.  Agrees with
-    :func:`ingleton` on every set function."""
+    sum is compiled once per rewriting and masks into values added and
+    subtracted.  Equals :func:`ingleton` on exact set functions; on float
+    ones it adds the values in another order, so it agrees up to rounding."""
     if k not in MASK_TERMS:
         raise ValueError(f"mask form index must be 1..5, got {k}")
     for m in (X, Y, Z, U):
         h.base.check_mask(m)
     if not pairwise_disjoint(X, Y, Z, U):
         raise ValueError("mask forms require pairwise disjoint sets")
-    unions = [0]
-    for m in (X, Y, Z, U):
-        unions += [w | m for w in unions]
-    added, subtracted = _compiled_mask_form(k)
-    v = h.values
-    return sum(v[unions[t]] for t in added) - sum(v[unions[t]] for t in subtracted)
+    added, subtracted = _compiled_mask_form(k, X, Y, Z, U)
+    v, D = h._linear_values
+    value = sum(map(v.__getitem__, added)) - sum(map(v.__getitem__, subtracted))
+    return value if D is None else Fraction(value, D)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ class BasicSet:
         return mask
 
     def check_mask(self, mask: int) -> int:
-        if not 0 <= mask <= self.full_mask:
+        if not 0 <= mask < 1 << len(self.names):
             raise ValueError(f"mask {mask:#x} out of range for {self.size} variables")
         return mask
 

@@ -7,7 +7,9 @@ whole-table passes for rule closure, a test of every one of the 2**24
 candidate structures for the enumerated families, permutation orbits
 relabeled triplet by triplet, rules grounded afresh under every assignment
 of their placeholders, and a worklist meet-closure.  None of it shares code
-paths with the implementations under test.
+paths with the implementations under test, except the reference random
+distribution, which pins the random stream of a sampler and so builds its
+result through the public constructor.
 """
 
 from __future__ import annotations
@@ -200,3 +202,22 @@ def worklist_meet_closure(seeds, full=(1 << 24) - 1):
                 family.add(c)
                 queue.append(c)
     return family
+
+
+def fraction_random_distribution(
+    rng, names=("x", "y", "z", "u"), cards=None, max_support=10, max_weight=9
+):
+    """The random sparse distribution of the property-test sampler, built
+    from a Fraction density through the public constructor, with the same
+    draws from rng in the same order."""
+    from cinfer.dist import JointDistribution, SampleSpace
+
+    if cards is None:
+        cards = tuple(rng.choice((2, 2, 3)) for _ in names)
+    configurations = list(grid(cards))
+    size = rng.randint(2, min(max_support, len(configurations)))
+    support = rng.sample(configurations, size)
+    weights = [rng.randint(1, max_weight) for _ in support]
+    total = sum(weights)
+    density = {cfg: Fraction(w, total) for cfg, w in zip(support, weights)}
+    return JointDistribution(SampleSpace(names, cards), density)

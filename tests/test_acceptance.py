@@ -8,9 +8,14 @@ actually finish in under a second.
 
 import json
 import time
+from pathlib import Path
 
 from cinfer import checks
 from cinfer.cli import main
+
+# The detail line of every verify-paper check, without its time: a change that
+# only speeds the battery up must leave each one byte-identical.
+DETAILS = json.loads((Path(__file__).parent / "verify_paper_details.json").read_text())
 
 
 def _report(number: int, name: str, ok: bool, seconds: float, detail: str) -> None:
@@ -23,6 +28,7 @@ def run_criterion(number: int, name: str, budget: float) -> checks.CheckResult:
     _report(number, name, result.ok, result.seconds, result.detail)
     assert result.ok, f"criterion {number} ({name}): {result.detail}"
     assert result.seconds <= budget, f"criterion {number} exceeded {budget}s budget"
+    assert result.detail == DETAILS[name]
     return result
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cinfer import catalog
+from cinfer import catalog, inequalities
 from cinfer.cli import main
 from cinfer.structures import CIStructure
 
@@ -225,6 +225,21 @@ class TestVerifyVerbs:
     def test_verify_inequality_needs_a_sample(self, capsys):
         assert main(["verify-inequality", "3", "--samples", "0"]) == 2
         assert capsys.readouterr().err == "error: --samples must be at least 1\n"
+
+    def test_verify_inequality_sample_bound(self, capsys, monkeypatch):
+        # the stand-in keeps an unbounded run from drawing any sample
+        calls = []
+
+        def stand_in(rule, samples):
+            calls.append(samples)
+            return [inequalities.InequalityReport(rule, True, 0.0)]
+
+        monkeypatch.setattr(inequalities, "sample_conditional_inequality", stand_in)
+        assert main(["verify-inequality", "3", "--samples", "100001"]) == 2
+        assert capsys.readouterr().err == "error: --samples must be at most 100000\n"
+        assert calls == []
+        assert main(["verify-inequality", "3", "--samples", "100000"]) == 0
+        assert calls == [100000]
 
     def test_tol_belongs_to_verify_inequality(self, capsys):
         assert main(["verify-inequality", "3", "--samples", "5", "--tol", "1e-6"]) == 0

@@ -25,6 +25,8 @@ from cinfer.inequalities import (
 from cinfer.inference import RULES
 from cinfer.setfn import ingleton
 
+from oracles import fraction_random_distribution
+
 ASSIGNMENT = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
 
 
@@ -180,6 +182,27 @@ class TestSampling:
         a = random_distribution(random.Random(5))
         b = random_distribution(random.Random(5))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"cards": (3, 2, 4, 2)},
+            {"max_support": 3},
+            {"max_support": 81, "max_weight": 1000},
+            {"names": ("a", "b", "c")},
+            {"names": ("a", "b", "c"), "cards": (2, 3, 2), "max_support": 12},
+        ],
+    )
+    def test_matches_the_fraction_construction(self, kwargs):
+        # same distribution, same representation, and the same rng state
+        # after the call, so every later draw of a sampler is unchanged
+        for seed in range(300):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            P = random_distribution(rng, **kwargs)
+            Q = fraction_random_distribution(reference_rng, **kwargs)
+            assert P == Q and P._weights == Q._weights and P._D == Q._D
+            assert rng.getstate() == reference_rng.getstate()
 
     def test_distributions_are_normalized(self):
         rng = random.Random(7)

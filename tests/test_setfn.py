@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cinfer import catalog
 from cinfer.sets import BasicSet
@@ -173,6 +174,80 @@ class TestMaskForms:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             mask_form(HXY, 6, X, Y, Z, U)
+
+
+@st.composite
+def tables_and_masks(draw, values):
+    """A set function over 2-5 variables with values from the strategy, a
+    triplet of arbitrary masks, and four pairwise disjoint (possibly empty)
+    masks."""
+    n = draw(st.integers(2, 5))
+    table = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    h = SetFunction(BasicSet("abcde"[:n]), tuple(table))
+    triplet = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(3))
+    groups = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    quad = tuple(sum(1 << i for i, g in enumerate(groups) if g == k) for k in range(4))
+    return h, triplet, quad
+
+
+def four_delta_sum(values, k, quad):
+    """Rewriting k as the signed sum of its four oracle difference terms."""
+    return sum(
+        sign * delta_from_table(values, *substitute_pattern(pattern, *quad))
+        for sign, pattern in MASK_TERMS[k]
+    )
+
+
+INTS = st.integers(-(10**12), 10**12)
+FRACTIONS = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+EXACT_VALUES = {"int": INTS, "fraction": FRACTIONS, "mixed": st.one_of(INTS, FRACTIONS)}
+
+
+class TestExactLinearForms:
+    """delta, ingleton and the mask forms against the table oracles: exact
+    tables are read as integers over one denominator, float tables as
+    they are."""
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_VALUES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exact_tables(self, kind, data):
+        h, triplet, quad = data.draw(tables_and_masks(EXACT_VALUES[kind]))
+        v = h.values
+        expected = int if all(type(x) is int for x in v) else Fraction
+        results = [(delta(h, *triplet), delta_from_table(v, *triplet))]
+        results.append((ingleton(h, *quad), ingleton_from_table(v, *quad)))
+        results += [(mask_form(h, k, *quad), four_delta_sum(v, k, quad)) for k in range(1, 6)]
+        for got, want in results:
+            assert got == want
+            assert type(got) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_and_masks(st.floats(-1e6, 1e6, allow_nan=False)))
+    def test_float_tables(self, case):
+        # the ordered expressions give bit-identical floats; the mask forms
+        # add the same values in another order
+        h, triplet, quad = case
+        v = h.values
+        assert repr(delta(h, *triplet)) == repr(delta_from_table(v, *triplet))
+        assert repr(ingleton(h, *quad)) == repr(ingleton_from_table(v, *quad))
+        scale = 1 + max(abs(x) for x in v)
+        for k in range(1, 6):
+            assert abs(mask_form(h, k, *quad) - four_delta_sum(v, k, quad)) <= 1e-12 * scale
+
+    def test_bool_table_takes_the_plain_expression(self):
+        h = SetFunction(BASE, tuple(bool(m % 3) for m in range(16)))
+        assert h._linear_values == (h.values, None)
+        assert delta(h, X, Y, Z) == delta_from_table(h.values, X, Y, Z)
+        assert type(ingleton(h, X, Y, Z, U)) is int
+
+    def test_cached_numerators_stay_outside_equality_hash_and_repr(self):
+        values = random_rational_setfn(random.Random(29))
+        h, fresh = SetFunction(BASE, values), SetFunction(BASE, values)
+        ingleton(h, X, Y, Z, U)
+        nums, D = h._linear_values
+        assert all(Fraction(a, D) == b for a, b in zip(nums, values))
+        assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
 
 
 class TestPolymatroid:
