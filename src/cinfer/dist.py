@@ -11,11 +11,16 @@ appear only at the boundary (input densities, ``prob``, ``items``,
 divergence are the only float outputs.  The module also builds the
 intersection variable of double-Markov pairs.
 
-Each distribution caches its integer marginals by mask.  Entropy and the
-induced structure fill all 2**n of them top-down, each summed from the mask
-one variable up; a one-off marginal comes from the smallest cached superset.
-Projectors and factorization-test plans depend only on the shape of a query
-and are compiled once per variable count and masks.
+Each configuration is one integer code: variable k's value sits in a field
+of ``(card_k - 1).bit_length()`` bits, variable 0 in the most significant
+one, so integer order is configuration order.  Each distribution caches its
+integer marginals by variable mask; a marginal keeps the parent's layout,
+its keys being ``code & fields[mask]``, so summing and the factorization
+test are AND masks.  Entropy and the induced structure fill all 2**n
+marginals top-down, each summed from the mask one variable up; a one-off
+marginal comes from the smallest cached superset.  Codes are repacked only
+where a new sample space is made, and decoded to tuples only at the
+boundary.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .sets import BasicSet, check_variable_count, checked_labels, positions
+from .sets import BasicSet, check_variable_count, checked_labels
 from .setfn import SetFunction
 from .structures import CIStructure, canonical_triplets
 
@@ -93,29 +97,76 @@ def _probability(value) -> Fraction:
     return Fraction(text)
 
 
-def _projector(idx: Sequence[int]):
-    """Function from a configuration to the tuple of its entries at idx."""
-    if len(idx) == 1:
-        k = idx[0]
-        return lambda cfg: (cfg[k],)
-    return itemgetter(*idx) if idx else lambda cfg: ()
-
-
-# The projector and plan caches are bounded: their keys include masks that
-# callers of the public functions choose.
+# Bounded: callers choose the cardinalities.
 @lru_cache(maxsize=4096)
-def _sub_projector(n: int, source: int, mask: int):
-    """Projector from configurations of the variables in source (in base
-    order, out of n) to configurations of its subset mask."""
-    return _projector([k for k, v in enumerate(positions(source, n)) if mask >> v & 1])
+def _layout(cards: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The (shift, value mask) of each variable's field, and the fields of
+    every variable mask."""
+    parts, shift, fields = [], 0, [0]
+    for c in reversed(cards):
+        parts.insert(0, (shift, (1 << (c - 1).bit_length()) - 1))
+        shift += (c - 1).bit_length()
+    for s, m in parts:
+        fields += [f | m << s for f in fields]
+    return tuple(parts), tuple(fields)
 
 
-def _summed(rows: dict[tuple, int], project) -> dict[tuple, int]:
-    """Weights of rows added up over their projections."""
-    out: dict[tuple, int] = {}
-    for key, w in zip(map(project, rows), rows.values()):
-        out[key] = out.get(key, 0) + w
+def _grid(cards: Sequence[int]) -> list[int]:
+    """The codes of every configuration, in configuration order."""
+    codes = [0]
+    for c in cards:
+        codes = [code << (c - 1).bit_length() | v for code in codes for v in range(c)]
+    return codes
+
+
+@lru_cache(maxsize=4096)
+def _packer(parts: tuple, order: tuple, targets: tuple):
+    """Function moving the field of variable order[j] to the place of the
+    field targets[j] (parts as in _layout); fields adjacent on both sides
+    move as one run."""
+    moves = []
+    for k, (t, _) in zip(order, targets):
+        s, m = parts[k]
+        if not m:
+            continue
+        w = m.bit_length()
+        if moves and moves[-1][0] == s + w and moves[-1][2] == t + w:
+            m |= moves.pop()[1] << w
+        moves.append((s, m, t))
+    if len(moves) == 1:
+        ((s, m, t),) = moves
+        return lambda code: (code >> s & m) << t
+
+    def move(code: int) -> int:
+        out = 0
+        for s, m, t in moves:
+            out |= (code >> s & m) << t
+        return out
+
+    return move
+
+
+def _config(P: "JointDistribution", code: int) -> tuple[int, ...]:
+    """The configuration of a code of P."""
+    return tuple([code >> s & m for s, m in P._parts])
+
+
+def _summed(rows: dict, keep: int) -> dict:
+    """Weights of rows added up over their codes masked by keep."""
+    out = {}
+    get = out.get
+    for code, w in rows.items():
+        code &= keep
+        out[code] = get(code, 0) + w
     return out
+
+
+def _moved(P: "JointDistribution", order: tuple, rows: dict) -> "JointDistribution":
+    """Distribution over the variables of P at order, from weights over P's
+    denominator keyed by codes of P."""
+    space = SampleSpace([P.names[k] for k in order], [P.cardinalities[k] for k in order])
+    move = _packer(P._parts, order, _layout(space.cardinalities)[0])
+    return JointDistribution._from_weights(space, {move(c): w for c, w in rows.items()}, P._D)
 
 
 class JointDistribution:
@@ -123,38 +174,43 @@ class JointDistribution:
 
     Absent configurations carry probability zero; stored probabilities are
     strictly positive and sum to exactly 1.  They are held as integer
-    weights over one common denominator (see the module docstring).
+    weights over one common denominator, keyed by configuration codes (see
+    the module docstring).
     """
 
     def __init__(self, space: SampleSpace, density: Mapping[tuple, object]):
+        parts = _layout(space.cardinalities)[0]
         rows = {}
         D = 1
         for cfg, p in density.items():
-            cfg = tuple(int(v) for v in cfg)
+            cfg = tuple(map(int, cfg))
             if len(cfg) != space.size:
                 raise ValueError(f"configuration {cfg} has wrong length")
-            for v, c in zip(cfg, space.cardinalities):
+            code = 0
+            for v, c, (s, _) in zip(cfg, space.cardinalities, parts):
                 if not 0 <= v < c:
                     raise ValueError(f"value {v} out of range in configuration {cfg}")
-            p = p if isinstance(p, Fraction) else Fraction(p)
-            if p.numerator < 0:
+                code |= v << s
+            num, den = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
+            if num < 0:
                 raise ValueError(f"negative probability at {cfg}")
-            if p.numerator:
-                if cfg in rows:
+            if num:
+                if code in rows:
                     raise ValueError(f"duplicate configuration {cfg}")
-                rows[cfg] = p
-                if D % p.denominator:
-                    D = math.lcm(D, p.denominator)
+                rows[code] = num, den
+                if D % den:
+                    D = math.lcm(D, den)
                     if D > _MAX_DENOMINATOR:
                         raise ValueError(f"common denominator exceeds 10**{MAX_EXPONENT}")
-        weights = {cfg: p.numerator * (D // p.denominator) for cfg, p in rows.items()}
+        weights = {code: num * (D // den) for code, (num, den) in rows.items()}
         if sum(weights.values()) != D:
             raise ValueError("probabilities must sum to exactly 1")
         self._assign(space, weights, D)
 
     @classmethod
     def _from_weights(cls, space: SampleSpace, weights: dict, D: int) -> "JointDistribution":
-        """Distribution from positive integer weights that sum to D."""
+        """Distribution from positive integer weights, keyed by codes, that
+        sum to D."""
         P = cls.__new__(cls)
         P._assign(space, weights, D)
         return P
@@ -162,10 +218,11 @@ class JointDistribution:
     def _assign(self, space: SampleSpace, weights: dict, D: int) -> None:
         g = math.gcd(D, *weights.values())
         if g > 1:
-            weights = {cfg: w // g for cfg, w in weights.items()}
+            weights = {code: w // g for code, w in weights.items()}
         self.space = space
+        self._parts, self._fields = _layout(space.cardinalities)
         self._D = D // g
-        self._weights: dict[tuple, int] = dict(sorted(weights.items()))
+        self._weights: dict[int, int] = dict(sorted(weights.items()))
         # integer marginal weights over _D, by variable mask
         self._marginals = {space.full_mask: self._weights}
         self._probs: dict[tuple, Fraction] | None = None
@@ -182,17 +239,18 @@ class JointDistribution:
         return self.space.cardinalities
 
     def support(self) -> list[tuple]:
-        return list(self._weights)
+        return [cfg for cfg, _ in self.items()]
 
     def items(self):
         """(configuration, probability) pairs in configuration order."""
         if self._probs is None:
             D = self._D
-            self._probs = {cfg: Fraction(w, D) for cfg, w in self._weights.items()}
+            self._probs = {_config(self, code): Fraction(w, D) for code, w in self._weights.items()}
         return self._probs.items()
 
     def prob(self, cfg: tuple) -> Fraction:
-        return Fraction(self._weights.get(tuple(cfg), 0), self._D)
+        self.items()
+        return self._probs.get(tuple(cfg), Fraction(0))
 
     def mask(self, names: MaskLike) -> int:
         return self.space.mask(names)
@@ -210,9 +268,9 @@ class JointDistribution:
 
     # -- marginal densities ----------------------------------------------------
 
-    def _marginal(self, mask: int) -> dict[tuple, int]:
-        """Marginal weights over the common denominator, keyed by
-        configurations of the variables in mask in base order.
+    def _marginal(self, mask: int) -> dict[int, int]:
+        """Marginal weights over the common denominator, keyed by the codes
+        masked by the fields of mask.
 
         Cached.  A one-off marginal is summed from the smallest cached
         marginal of a superset, so a query on a wide sparse distribution
@@ -222,36 +280,30 @@ class JointDistribution:
         cache = self._marginals
         if mask not in cache:
             source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
-            cache[mask] = _summed(cache[source], _sub_projector(self.space.size, source, mask))
+            cache[mask] = _summed(cache[source], self._fields[mask])
         return cache[mask]
 
-    def _all_marginals(self) -> dict[int, dict[tuple, int]]:
+    def _all_marginals(self) -> dict[int, dict[int, int]]:
         """The marginal weights of every mask, filled in descending mask
         order: each missing mask is summed from the marginal one variable up,
         ``mask | (mask + 1)`` (its lowest missing bit set)."""
-        cache, n = self._marginals, self.space.size
-        for mask in range((1 << n) - 2, -1, -1):
+        cache, fields = self._marginals, self._fields
+        for mask in range(len(fields) - 2, -1, -1):
             if mask not in cache:
-                source = mask | (mask + 1)
-                cache[mask] = _summed(cache[source], _sub_projector(n, source, mask))
+                cache[mask] = _summed(cache[mask | (mask + 1)], fields[mask])
         return cache
 
     def marginal_density(self, A: MaskLike) -> dict[tuple, Fraction]:
         """Marginal density keyed by configurations of the variables in A,
         in base order and sorted.  The empty mask yields {(): 1}."""
-        weights, D = self._marginal(self.space.mask(A)), self._D
-        return {cfg: Fraction(weights[cfg], D) for cfg in sorted(weights)}
+        mask = self.space.mask(A)
+        return dict(marginal(self, mask).items()) if mask else {(): Fraction(1)}
 
     def reordered(self, names: Sequence[str]) -> "JointDistribution":
         """Same distribution with variables listed in another order."""
         if set(names) != set(self.names) or len(names) != len(self.names):
             raise ValueError("reordering must carry exactly the same labels")
-        perm = [self.space.index(n) for n in names]
-        space = SampleSpace(names, [self.cardinalities[k] for k in perm])
-        project = _projector(perm)
-        return JointDistribution._from_weights(
-            space, {project(cfg): w for cfg, w in self._weights.items()}, self._D
-        )
+        return _moved(self, tuple(map(self.space.index, names)), self._weights)
 
     # -- serialization -----------------------------------------------------------
 
@@ -317,9 +369,7 @@ def marginal(P: JointDistribution, A: MaskLike) -> JointDistribution:
     mask = P.space.mask(A)
     if mask == 0:
         raise ValueError("marginal onto the empty set is the constant 1")
-    keep = _projector(positions(mask, P.space.size))
-    space = SampleSpace(keep(P.names), keep(P.cardinalities))
-    return JointDistribution._from_weights(space, P._marginal(mask), P._D)
+    return _moved(P, tuple(k for k in range(P.space.size) if mask >> k & 1), P._marginal(mask))
 
 
 def is_ci(P: JointDistribution, X: MaskLike, Y: MaskLike, Z: MaskLike) -> bool:
@@ -334,36 +384,20 @@ def is_ci(P: JointDistribution, X: MaskLike, Y: MaskLike, Z: MaskLike) -> bool:
     already sum to p(z), so every term off the support, where p(xyz) = 0,
     vanishes as well.
     """
-    space = P.space
-    plan = _ci_plan(space.size, space.mask(X), space.mask(Y), space.mask(Z))
-    return _factorizes(P._marginal, plan)
+    return _factorizes(P._marginal, P._fields, *map(P.space.mask, (X, Y, Z)))
 
 
-@lru_cache(maxsize=4096)
-def _ci_plan(n: int, X: int, Y: int, Z: int) -> tuple:
-    """The masks XYZ, XZ, YZ, Z of a factorization test over n variables and
-    the projectors from XYZ-configurations onto the last three."""
-    xyz = X | Y | Z
-    return (xyz, X | Z, Y | Z, Z, *(_sub_projector(n, xyz, M) for M in (X | Z, Y | Z, Z)))
-
-
-def _factorizes(marginal, plan: tuple) -> bool:
-    """The factorization test of :func:`is_ci` under a plan; ``marginal``
-    maps a mask to its marginal weights."""
-    xyz, xz, yz, z, p_xz, p_yz, p_z = plan
-    d_xyz = marginal(xyz)
-    d_xz, d_yz, d_z = marginal(xz), marginal(yz), marginal(z)
-    for cfg, w in d_xyz.items():
-        if w * d_z[p_z(cfg)] != d_xz[p_xz(cfg)] * d_yz[p_yz(cfg)]:
+def _factorizes(marginal, fields, X: int, Y: int, Z: int) -> bool:
+    """The factorization test of :func:`is_ci` on variable masks;
+    ``marginal`` maps a mask to its marginal weights, ``fields`` to its
+    fields."""
+    xz, yz = X | Z, Y | Z
+    f_xz, f_yz, f_z = fields[xz], fields[yz], fields[Z]
+    d_xz, d_yz, d_z = marginal(xz), marginal(yz), marginal(Z)
+    for code, w in marginal(xz | Y).items():
+        if w * d_z[code & f_z] != d_xz[code & f_xz] * d_yz[code & f_yz]:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _structure_plan(n: int) -> tuple[tuple, ...]:
-    """The factorization plan of every canonical triplet over n variables,
-    in bit order."""
-    return tuple(_ci_plan(n, 1 << t.i, 1 << t.j, t.K) for t in canonical_triplets(n))
 
 
 def induced_ci_structure(P: JointDistribution) -> CIStructure:
@@ -371,10 +405,10 @@ def induced_ci_structure(P: JointDistribution) -> CIStructure:
     triplets (i, j | K) passing the factorization test."""
     if P._structure is None:
         base = P.space.base_set()
-        marginal = P._all_marginals().__getitem__
+        marginal, fields = P._all_marginals().__getitem__, P._fields
         bits = 0
-        for b, plan in enumerate(_structure_plan(base.size)):
-            if _factorizes(marginal, plan):
+        for b, t in enumerate(canonical_triplets(base.size)):
+            if _factorizes(marginal, fields, 1 << t.i, 1 << t.j, t.K):
                 bits |= 1 << b
         P._structure = CIStructure(base, bits)
     return P._structure
@@ -413,33 +447,39 @@ def conditional_product(
     if set(R.names) != B | C:
         raise ValueError("second factor must be a distribution over B + C")
 
-    c_order = tuple(n for n in Q.names if n in C)
-    q_c = _projector([Q.space.index(n) for n in c_order])
-    r_c = _projector([R.space.index(n) for n in c_order])
-    r_extra = _projector([k for k, n in enumerate(R.names) if n not in C])
-    if q_c(Q.cardinalities) != r_c(R.cardinalities):
+    q_c = tuple(k for k, n in enumerate(Q.names) if n in C)
+    r_c = tuple(R.space.index(Q.names[k]) for k in q_c)
+    extra = tuple(k for k, n in enumerate(R.names) if n not in C)
+    if [Q.cardinalities[k] for k in q_c] != [R.cardinalities[k] for k in r_c]:
         raise ConsonanceError("shared variables must have equal sample spaces")
-    # C-marginal weights of Q and R over their own denominators, in Q's order
-    mq = Q._marginal(Q.space.mask(c_order))
-    mr: dict[tuple, int] = defaultdict(int)
-    r_by_c: dict[tuple, list] = defaultdict(list)
-    for cfg, w in R._weights.items():
-        c = r_c(cfg)
-        mr[c] += w
-        r_by_c[c].append((r_extra(cfg), w))
+    space = SampleSpace(
+        Q.names + tuple(R.names[k] for k in extra),
+        Q.cardinalities + tuple(R.cardinalities[k] for k in extra),
+    )
+    # a row of Q lands in the result shifted up; a row of R lands with its
+    # C-fields where Q's sit and its other fields below them
+    parts, fields = _layout(space.cardinalities)
+    up, c_fields = parts[len(Q.names) - 1][0], fields[space.mask(C)]
+    to_result = _packer(R._parts, r_c + extra, tuple(parts[k] for k in q_c) + parts[len(Q.names):])
+    # C-marginal weights of Q and R over their own denominators
+    mq = {c << up: w for c, w in Q._marginal(Q.mask(C)).items()}
+    mr, r_by_c = defaultdict(int), defaultdict(list)
+    for code, w in R._weights.items():
+        code = to_result(code)
+        mr[code & c_fields] += w
+        r_by_c[code & c_fields].append((code, w))
     Dq, Dr = Q._D, R._D
     if {c: w * Dr for c, w in mq.items()} != {c: w * Dq for c, w in mr.items()}:
         raise ConsonanceError("factors disagree on the shared marginal")
 
-    space = SampleSpace(Q.names + r_extra(R.names), Q.cardinalities + r_extra(R.cardinalities))
     # q r / m = wq wr (L / mq(c)) / (Dr L), with L the lcm of the mq(c)
     L = math.lcm(*mq.values())
     density = {}
-    for qcfg, wq in Q._weights.items():
-        c = q_c(qcfg)
-        scale = wq * (L // mq[c])
-        for extra, wr in r_by_c[c]:
-            density[qcfg + extra] = scale * wr
+    for code, wq in Q._weights.items():
+        code <<= up
+        scale = wq * (L // mq[code & c_fields])
+        for r, wr in r_by_c[code & c_fields]:
+            density[code | r] = scale * wr
     return JointDistribution._from_weights(space, density, Dr * L)
 
 
@@ -452,17 +492,17 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     """
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")
-    cards = tuple(qc * rc for qc, rc in zip(Q.cardinalities, R.cardinalities))
-    shifted = [
-        (tuple(qv * rc for qv, rc in zip(qcfg, R.cardinalities)), wq)
-        for qcfg, wq in Q._weights.items()
+    space = SampleSpace(Q.names, [a * b for a, b in zip(Q.cardinalities, R.cardinalities)])
+    parts = _layout(space.cardinalities)[0]
+    # q * card_R + r fits in its field, so the two parts add without carries
+    move = _packer(R._parts, tuple(range(len(parts))), parts)
+    q_parts = [
+        (sum(v * b << s for v, b, (s, _) in zip(_config(Q, code), R.cardinalities, parts)), wq)
+        for code, wq in Q._weights.items()
     ]
-    density = {
-        tuple(map(add, qpart, rcfg)): wq * wr
-        for qpart, wq in shifted
-        for rcfg, wr in R._weights.items()
-    }
-    return JointDistribution._from_weights(SampleSpace(Q.names, cards), density, Q._D * R._D)
+    r_parts = [(move(code), wr) for code, wr in R._weights.items()]
+    density = {q + r: wq * wr for q, wq in q_parts for r, wr in r_parts}
+    return JointDistribution._from_weights(space, density, Q._D * R._D)
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +517,14 @@ def entropy_function(P: JointDistribution) -> SetFunction:
     polymatroid rank function and its vanishing difference expressions
     match the exact CI structure of P.
     """
-    D, full, marginals = P._D, P.space.full_mask, P._all_marginals()
+    D, full, marginals, log = P._D, P.space.full_mask, P._all_marginals(), math.log
     values = [0.0] * (full + 1)
     for m in range(1, full + 1):
         weights = marginals[m]
         h = 0.0
-        for cfg in sorted(weights):
-            fp = weights[cfg] / D
-            h -= fp * math.log(fp)
+        for code in sorted(weights):
+            fp = weights[code] / D
+            h -= fp * log(fp)
         values[m] = h
     return SetFunction(P.space.base_set(), tuple(values))
 
@@ -508,10 +548,10 @@ def kl_divergence(Q: JointDistribution, R: JointDistribution) -> float:
         raise ValueError("divergence needs a shared sample space")
     Dq, Dr = Q._D, R._D
     total = 0.0
-    for cfg, wq in Q._weights.items():
-        wr = R._weights.get(cfg)
+    for code, wq in Q._weights.items():
+        wr = R._weights.get(code)
         if wr is None:
-            raise DominanceError(cfg)
+            raise DominanceError(_config(Q, code))
         q = wq / Dq
         total += q * math.log(q / (wr / Dr))
     return total
@@ -544,29 +584,29 @@ def double_markov_extend(
     if not (is_ci(P, A, B, C) and is_ci(P, A, C, B)):
         raise ValueError("premises violated: need A indep B | C and A indep C | B")
 
-    n = P.space.size
-    b_part, c_part = _sub_projector(n, B | C, B), _sub_projector(n, B | C, C)
+    f_b, f_c, f_bc = P._fields[B], P._fields[C], P._fields[B | C]
     # W's classes: the components of the graph that links the B-part and the
-    # C-part of each BC-support row, numbered by first appearance
-    parent: dict[tuple, tuple] = {}
+    # C-part of each BC-support row (a B-part as a negative node), numbered
+    # by first appearance
+    parent: dict[int, int] = {}
 
-    def find(node: tuple) -> tuple:
+    def find(node: int) -> int:
         parent.setdefault(node, node)
         while parent[node] != node:
             parent[node] = node = parent[parent[node]]
         return node
 
     support = sorted(P._marginal(B | C))
-    for cfg in support:
-        parent[find((0,) + b_part(cfg))] = find((1,) + c_part(cfg))
-    classes: dict[tuple, int] = {}
-    class_of = {cfg: classes.setdefault(find((1,) + c_part(cfg)), len(classes)) for cfg in support}
+    for code in support:
+        parent[find(~(code & f_b))] = find(code & f_c)
+    classes: dict[int, int] = {}
+    class_of = {code: classes.setdefault(find(code & f_c), len(classes)) for code in support}
 
     w_name, serial = "w", 1
     while w_name in P.names:
         serial += 1
         w_name = f"w{serial}"
     space = SampleSpace(P.names + (w_name,), P.cardinalities + (len(classes),))
-    bc = _sub_projector(n, P.space.full_mask, B | C)
-    density = {cfg + (class_of[bc(cfg)],): w for cfg, w in P._weights.items()}
+    w = (len(classes) - 1).bit_length()
+    density = {code << w | class_of[code & f_bc]: wt for code, wt in P._weights.items()}
     return JointDistribution._from_weights(space, density, P._D)

@@ -430,11 +430,11 @@ def random_distribution(
 ) -> JointDistribution:
     """Random sparse rational distribution for property tests: integer
     weights on a random support, over their sum."""
-    from .dist import SampleSpace
+    from .dist import SampleSpace, _grid
 
     if cards is None:
         cards = tuple(rng.choice((2, 2, 3)) for _ in names)
-    grid = list(itertools.product(*(range(c) for c in cards)))
+    grid = _grid(cards)
     size = rng.randint(2, min(max_support, len(grid)))
     support = rng.sample(grid, size)
     weights = [rng.randint(1, max_weight) for _ in support]

@@ -158,10 +158,6 @@ def pairwise_disjoint(*masks: int) -> bool:
     return True
 
 
-def positions(mask: int, size: int) -> tuple[int, ...]:
-    return tuple(i for i in range(size) if mask >> i & 1)
-
-
 DEFAULT_NAMES: Sequence[str] = ("x", "y", "z", "u")
 
 

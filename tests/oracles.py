@@ -34,6 +34,50 @@ def marginal_table(density, cards, keep):
     return dict(out)
 
 
+def packed_value(code, cards, k):
+    """Value of variable k in a configuration code: variable k holds a field
+    of (card - 1).bit_length() bits, variable 0 the most significant one."""
+    widths = [(c - 1).bit_length() for c in cards]
+    return code >> sum(widths[k + 1:]) & (1 << widths[k]) - 1
+
+
+def packed_fields(cards, keep):
+    """Bits of the fields of the variables at the positions in `keep`."""
+    return sum(((1 << (cards[k] - 1).bit_length()) - 1) << sum(
+        (c - 1).bit_length() for c in cards[k + 1:]) for k in keep)
+
+
+def conditional_product_table(q, q_names, r, r_names, shared):
+    """Density q(a,c) r(b,c) / m(c) of two config->prob dicts, over q's
+    variables followed by r's unshared ones, with m the shared marginal of q;
+    returns the names and the density in configuration order."""
+    c_names = [n for n in q_names if n in shared]
+    qc = [q_names.index(n) for n in c_names]
+    rc = [r_names.index(n) for n in c_names]
+    extra = [k for k, n in enumerate(r_names) if n not in shared]
+    m = defaultdict(Fraction)
+    for cfg, p in q.items():
+        m[tuple(cfg[k] for k in qc)] += p
+    out = {}
+    for qcfg, pq in q.items():
+        c = tuple(qcfg[k] for k in qc)
+        for rcfg, pr in r.items():
+            if tuple(rcfg[k] for k in rc) == c:
+                out[qcfg + tuple(rcfg[k] for k in extra)] = pq * pr / m[c]
+    return tuple(q_names) + tuple(r_names[k] for k in extra), dict(sorted(out.items()))
+
+
+def lattice_product_table(q, r, r_cards):
+    """Independent pairing of two config->prob dicts over the same
+    variables, value pair (a, b) of variable i encoded as a * r_cards[i] + b;
+    the density in configuration order."""
+    out = {}
+    for qcfg, pq in q.items():
+        for rcfg, pr in r.items():
+            out[tuple(a * rc + b for a, b, rc in zip(qcfg, rcfg, r_cards))] = pq * pr
+    return dict(sorted(out.items()))
+
+
 def brute_force_is_ci(density, cards, X, Y, Z):
     """Factorization test scanned over the entire configuration grid."""
     n = len(cards)

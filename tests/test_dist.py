@@ -1,6 +1,7 @@
 """Exact distribution algebra: marginals, CI tests, products, entropy,
 divergence, and the intersection-variable extension."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -28,7 +29,16 @@ from cinfer.inference import ground_rules
 from cinfer.sets import BasicSet
 from cinfer.setfn import delta, induced_ci_structure_of_rank
 
-from oracles import brute_force_is_ci, entropy_of_subset, marginal_table, naive_closure
+from oracles import (
+    brute_force_is_ci,
+    conditional_product_table,
+    entropy_of_subset,
+    lattice_product_table,
+    marginal_table,
+    naive_closure,
+    packed_fields,
+    packed_value,
+)
 
 EX1 = catalog.get("EX1").distribution
 EX5 = catalog.get("EX5").distribution
@@ -477,15 +487,175 @@ class TestLatticeProperties:
             P.marginal_density(mask % (1 << n))
         lattice = P._all_marginals()
         assert sorted(lattice) == list(range(1 << n))
-        density = dict(P.items())
+        density, cards = dict(P.items()), P.cardinalities
         for mask, weights in lattice.items():
             keep = [k for k in range(n) if mask >> k & 1]
-            assert {cfg: Fraction(w, P._D) for cfg, w in weights.items()} == marginal_table(
-                density, P.cardinalities, keep
-            )
+            # keys are codes masked to the kept fields, one per configuration
+            assert all(code & ~packed_fields(cards, keep) == 0 for code in weights)
+            decoded = {
+                tuple(packed_value(code, cards, k) for k in keep): Fraction(w, P._D)
+                for code, w in weights.items()
+            }
+            assert len(decoded) == len(weights)
+            assert decoded == marginal_table(density, cards, keep)
 
     @settings(max_examples=100, deadline=None)
     @given(over((2, 3, 4, 5)))
     def test_entropy_structure_matches_exact_structure(self, P):
         h = entropy_function(P)
         assert induced_ci_structure_of_rank(h, FLOAT_TOL) == induced_ci_structure(P)
+
+
+@st.composite
+def packed(draw, n=None):
+    """A distribution over 1-5 variables with cardinalities 1-9 (fields of
+    zero to four bits), with the density it was built from; grids hold at
+    most 4,096 configurations, so the full-grid oracles stay quick."""
+    if n is None:
+        n = draw(st.integers(1, 5))
+    cards = draw(
+        st.lists(st.integers(1, 9), min_size=n, max_size=n).filter(lambda c: math.prod(c) <= 4096)
+    )
+    config = st.tuples(*(st.integers(0, c - 1) for c in cards))
+    rows = draw(st.dictionaries(config, st.integers(1, 9), min_size=1, max_size=12))
+    total = sum(rows.values())
+    density = {cfg: Fraction(w, total) for cfg, w in rows.items()}
+    return JointDistribution(SampleSpace("abcde"[:n], cards), density), density
+
+
+class TestPackedCodes:
+    @settings(max_examples=60, deadline=None)
+    @given(packed())
+    def test_items_are_the_input_in_configuration_order(self, drawn):
+        P, density = drawn
+        assert list(P.items()) == sorted(density.items())
+        assert P.support() == sorted(density)
+        assert JointDistribution.from_json_dict(P.to_json_dict()) == P
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed(), st.integers(0, 31))
+    def test_marginal_density_matches_summation(self, drawn, mask):
+        P, density = drawn
+        mask %= 1 << P.space.size
+        keep = [k for k in range(P.space.size) if mask >> k & 1]
+        assert P.marginal_density(mask) == marginal_table(density, P.cardinalities, keep)
+
+    @settings(max_examples=40, deadline=None)
+    @given(packed(), st.lists(st.integers(0, 31), min_size=3, max_size=3))
+    def test_is_ci_matches_full_grid(self, drawn, masks):
+        P, density = drawn
+        X, Y, Z = (m % (1 << P.space.size) for m in masks)
+        for Y in (Y, X):
+            assert is_ci(P, X, Y, Z) == brute_force_is_ci(density, P.cardinalities, X, Y, Z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed(), st.randoms(use_true_random=False))
+    def test_reordered_round_trip(self, drawn, rng):
+        P, density = drawn
+        perm = rng.sample(range(P.space.size), P.space.size)
+        Q = P.reordered([P.names[k] for k in perm])
+        assert list(Q.items()) == sorted(
+            (tuple(cfg[k] for k in perm), p) for cfg, p in density.items()
+        )
+        assert Q.reordered(P.names) == P
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed(), st.randoms(use_true_random=False))
+    def test_conditional_product_matches_oracle(self, drawn, rng):
+        P, _ = drawn
+        n = P.space.size
+        if n < 2:
+            return
+        # a random split with A and B non-empty, variables left out allowed,
+        # and each factor's variables in a random order
+        groups = [rng.randrange(4) for _ in range(n)]
+        groups[0], groups[-1] = 0, 1
+        rng.shuffle(groups)
+        A, B, C = (tuple(v for v, g in zip(P.names, groups) if g == b) for b in range(3))
+        Q, R = (marginal(P, S + C) for S in (A, B))
+        Q, R = (F.reordered(rng.sample(F.names, len(F.names))) for F in (Q, R))
+        glued = conditional_product(Q, R, A, B, C)
+        names, table = conditional_product_table(
+            dict(Q.items()), Q.names, dict(R.items()), R.names, C
+        )
+        assert glued.names == names
+        assert list(glued.items()) == list(table.items())
+        assert is_ci(glued, glued.mask(A), glued.mask(B), glued.mask(C))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(packed(n), packed(n))))
+    def test_lattice_product_matches_oracle(self, pair):
+        (Q, q), (R, r) = pair
+        R = JointDistribution(SampleSpace(Q.names, R.cardinalities), dict(R.items()))
+        L = lattice_product(Q, R)
+        assert L.cardinalities == tuple(a * b for a, b in zip(Q.cardinalities, R.cardinalities))
+        assert list(L.items()) == list(lattice_product_table(q, r, R.cardinalities).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed(), st.lists(st.integers(-2, 20), min_size=0, max_size=6))
+    def test_prob_is_zero_off_the_sample_space(self, drawn, values):
+        P, density = drawn
+        assert P.prob(tuple(values)) == density.get(tuple(values), 0)
+        for cfg, p in density.items():
+            assert P.prob(cfg) == p
+            assert P.prob(cfg + (0,)) == 0 and P.prob(cfg[:-1]) == 0
+            for k, c in enumerate(P.cardinalities):
+                # values past the cardinality, including those that carry
+                # into the next field, never alias another row
+                for v in (-1, *range(c, 2 << (c - 1).bit_length())):
+                    assert P.prob(cfg[:k] + (v,) + cfg[k + 1:]) == 0
+
+
+# sha256 of repr(pinned_outputs()), computed with the tuple-keyed rows that
+# preceded the packed configuration codes
+PINNED_DIGEST = "74edadf15e70590629ce6f9c89a8bb1c9501fca6966e77b84a4d6a4168ad532d"
+
+
+def pinned_outputs() -> list:
+    """Outputs of the public dist functions on the 15 catalog distributions
+    and 200 seeded random ones: entropy values, induced structure bits, the
+    rows of conditional and lattice products, is_ci answers, divergences,
+    marginal densities and double-Markov extensions."""
+    rng = random.Random(4242)
+    sources = [e.distribution for e in catalog.entries() if e.distribution is not None]
+    sources += [random_distribution(rng) for _ in range(200)]
+    out = []
+    for i, P in enumerate(sources):
+        A, B, C = SPLITS[i % 3]
+        glued = conditional_product(marginal(P, A + C), marginal(P, B + C), A, B, C)
+        back = glued.reordered(P.names)
+        L = lattice_product(P, sources[i - 1])
+        queries = [(rng.randrange(16), rng.randrange(16), rng.randrange(16)) for _ in range(6)]
+        row = [
+            entropy_function(P).values,
+            entropy_function(L).values,
+            induced_ci_structure(P).bits,
+            induced_ci_structure(glued).bits,
+            induced_ci_structure(L).bits,
+            glued.names,
+            glued.cardinalities,
+            tuple(glued.items()),
+            tuple(back.items()),
+            L.cardinalities,
+            tuple(L.items()),
+            [is_ci(Q, X, Y, Z) for Q in (P, glued, L) for X, Y, Z in queries],
+            P.marginal_density(queries[0][0]),
+            kl_divergence(P, back),
+        ]
+        try:
+            row.append(kl_divergence(back, P))
+        except DominanceError as err:
+            row.append(("dominance", err.config))
+        try:
+            ext = double_markov_extend(P, "x", "z", "u")
+            row.append((ext.names, ext.cardinalities, tuple(ext.items())))
+        except ValueError as err:
+            row.append(str(err))
+        out.append(row)
+    return out
+
+
+def test_outputs_match_pinned_digest():
+    # any change in a float's bits, a row's order or an answer changes it
+    digest = hashlib.sha256(repr(pinned_outputs()).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
