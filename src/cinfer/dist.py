@@ -60,13 +60,13 @@ class SampleSpace(BasicSet):
 
     def __init__(self, names: Iterable[str], cardinalities: Iterable[int]):
         names = tuple(names)
-        cards = tuple(int(c) for c in cardinalities)
+        cards = tuple(cardinalities)
         if not names:
             raise ValueError("a sample space needs at least one variable")
         if len(cards) != len(names):
             raise ValueError("one cardinality per variable required")
-        if any(c < 1 for c in cards):
-            raise ValueError("cardinalities must be positive")
+        if any(type(c) is not int or c < 1 for c in cards):
+            raise ValueError(f"cardinalities must be positive integers, got {cards}")
         object.__setattr__(self, "names", checked_labels(names))
         object.__setattr__(self, "cardinalities", cards)
 
@@ -183,11 +183,12 @@ class JointDistribution:
         rows = {}
         D = 1
         for cfg, p in density.items():
-            cfg = tuple(map(int, cfg))
             if len(cfg) != space.size:
                 raise ValueError(f"configuration {cfg} has wrong length")
             code = 0
             for v, c, (s, _) in zip(cfg, space.cardinalities, parts):
+                if type(v) is not int:
+                    raise ValueError(f"configuration {cfg} holds a non-integer value {v!r}")
                 if not 0 <= v < c:
                     raise ValueError(f"value {v} out of range in configuration {cfg}")
                 code |= v << s

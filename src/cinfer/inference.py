@@ -35,8 +35,7 @@ from .structures import (
     ElementaryTriplet,
     bit_count_for,
     expand_to_elementary,
-    permutation_images,
-    permute_bits,
+    relabelings,
     triplet_index,
 )
 
@@ -238,7 +237,7 @@ def _exchange_instances(n: int) -> list[tuple[int, int]]:
 def _ground_rules_cached(n: int, ruleset: str) -> tuple[GroundRule, ...]:
     """Exchange instances, plus for ``"all"`` each equivalence and
     implication under the 24 assignments of X, Y, Z, U to the variables:
-    grounded once at x, y, z, u and moved through :func:`permutation_images`,
+    grounded once at x, y, z, u and moved through :func:`relabelings`,
     since relabeling commutes with :func:`expand_to_elementary`."""
     if ruleset not in RULESETS:
         raise ValueError(f"ruleset must be one of {RULESETS}")
@@ -252,8 +251,7 @@ def _ground_rules_cached(n: int, ruleset: str) -> tuple[GroundRule, ...]:
             if rule.id in ("S0", "S1", "S2"):
                 continue
             pre, con = _pattern_bits(rule.premises), _pattern_bits(rule.conclusions)
-            for image in permutation_images(4).values():
-                p, c = permute_bits(pre, image), permute_bits(con, image)
+            for p, c in zip(relabelings(pre, 4), relabelings(con, 4)):
                 rules += [(p, c), (c, p)] if rule.bidirectional else [(p, c)]
     # drop no-op instances, dedup, freeze order
     pairs = {(p, c) for p, c in rules if c & ~p}
@@ -506,4 +504,4 @@ def orbit(s: CIStructure) -> list[CIStructure]:
 def orbit_bits(bits: int, n: int = 4) -> set[int]:
     """Distinct images of a triplet bitmask under all permutations of the
     n variables."""
-    return {permute_bits(bits, image) for image in permutation_images(n).values()}
+    return set(relabelings(bits, n))

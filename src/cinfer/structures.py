@@ -12,14 +12,16 @@ one integer whose bit ``b`` marks the triplet at position ``b``; set algebra
 on structures is integer arithmetic, and triplet objects are made only when
 a structure is iterated (bit order equals sorted order).  A permutation of
 the variables moves each set bit to the bit of its image triplet; for up
-to six variables, :func:`permutation_images` tabulates those images for
-every permutation at once (orbits and the relabeled ground rules).
+to six variables, :func:`relabelings` moves a bitmask under all n!
+permutations at once, one OR of packed :func:`image_words` per set bit
+(orbits and the relabeled ground rules).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -105,34 +107,43 @@ def expand_to_elementary(X: int, Y: int, Z: int) -> frozenset[ElementaryTriplet]
     return frozenset(out)
 
 
-# permutation_images(n) holds n! * C(n,2) * 2**(n-2) entries: 172,800 at
-# n = 6, 3.4 million at n = 7.
+# image_words(n) holds n! * w**2 bits for w = C(n,2) * 2**(n-2) triplets:
+# 1.7 kB at n = 4, 5.2 MB at n = 6 and 285 MB at n = 7.
 MAX_PERMUTATION_TABLE_VARIABLES = 6
 
 
 @lru_cache(maxsize=None)
-def permutation_images(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """For every permutation of the n variable positions, the bit that each
-    triplet bit moves to: ``permutation_images(n)[perm][b]`` is the bit of
-    ``canonical_triplets(n)[b].permuted(perm)``.  Built on first use, for at
-    most MAX_PERMUTATION_TABLE_VARIABLES variables."""
+def image_words(n: int) -> tuple[tuple[int, ...], struct.Struct]:
+    """Word b holds the image of triplet bit b under every permutation of the
+    n variables, a lane of ``ceil(w / 8)`` bytes per permutation in
+    :func:`itertools.permutations` order; the struct splits a word into its
+    lanes.  Built on first use, for at most MAX_PERMUTATION_TABLE_VARIABLES."""
     if n > MAX_PERMUTATION_TABLE_VARIABLES:
         limit = MAX_PERMUTATION_TABLE_VARIABLES
         raise ValueError(f"permutation tables cover at most {limit} variables, got {n}")
-    table = canonical_triplets(n)
-    idx = triplet_index(n)
-    return {
-        perm: tuple(idx[t.permuted(perm)] for t in table)
-        for perm in itertools.permutations(range(n))
-    }
+    table, idx = canonical_triplets(n), triplet_index(n)
+    lane = (len(table) + 7) // 8
+    perms = list(itertools.permutations(range(n)))
+    words = []
+    for t in table:
+        word = bytearray(lane * len(perms))  # big-endian, lane 0 first
+        for end, perm in enumerate(perms, 1):
+            image = idx[t.permuted(perm)]
+            word[end * lane - 1 - image // 8] |= 1 << image % 8
+        words.append(int.from_bytes(word, "big"))
+    return tuple(words), struct.Struct(f">{f'{lane}s' * len(perms)}")
 
 
-def permute_bits(bits: int, image: tuple[int, ...]) -> int:
-    """Image of a triplet bitmask under one entry of :func:`permutation_images`."""
-    out = 0
+def relabelings(bits: int, n: int) -> Iterator[int]:
+    """Images of a triplet bitmask under every permutation of the n
+    variables, in :func:`image_words` lane order: the OR of the words of
+    its set bits, read lane by lane."""
+    words, unpacker = image_words(n)
+    packed = 0
     for b in bit_indices(bits):
-        out |= 1 << image[b]
-    return out
+        packed |= words[b]
+    lanes = unpacker.unpack(packed.to_bytes(unpacker.size, "big"))
+    return map(int.from_bytes, lanes, itertools.repeat("big"))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             JointDistribution(space, {(0, 2): 1})
 
+    @pytest.mark.parametrize("value", [0.7, 1.0, "1", True, False])
+    def test_non_integer_value_rejected(self, value):
+        # int() would truncate 0.7 to 0 and read "1" as 1
+        space = SampleSpace(("a", "b"), (2, 2))
+        with pytest.raises(ValueError, match="non-integer value") as error:
+            JointDistribution(space, {(value, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+        assert "\n" not in str(error.value)
+
+    @pytest.mark.parametrize("card", [2.9, 2.0, "3", True])
+    def test_non_integer_cardinality_rejected(self, card):
+        with pytest.raises(ValueError, match="cardinalities must be positive integers") as error:
+            SampleSpace(("a", "b"), (card, 2))
+        assert "\n" not in str(error.value)
+
     def test_json_round_trip(self):
         again = JointDistribution.loads(EX5.dumps())
         assert again == EX5

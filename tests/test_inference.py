@@ -1,5 +1,6 @@
 """Ground rules, closure, enumeration, meets, and orbits."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from cinfer.dist import induced_ci_structure
 from cinfer.inference import (
     GroundRule,
     RULES,
+    ci_structure_family,
     closure,
     closure_bits,
     dump_family,
@@ -46,6 +48,21 @@ def bits_of(*statements):
 # ground-rule census, generated once and frozen as a regression guard
 SG_RULE_COUNT = 48
 ALL_RULE_COUNT = 500
+
+# sha256 of repr(relabeling_outputs()), computed with the per-permutation
+# image tuples that preceded the packed image words
+RELABELING_DIGEST = "1ae2ba234b1585d8991bf684824b5560035526f4949757ef8e4182d38602c4f6"
+
+
+def relabeling_outputs() -> list:
+    """Both ground-rule tuples and the sorted permutation-type
+    representatives (orbit minima) of the semi-graphoids and CI structures."""
+    return [
+        ground_rules(BASE, "sg"),
+        ground_rules(BASE, "all"),
+        sorted({min(orbit_bits(b)) for b in semigraphoid_family()}),
+        sorted({min(orbit_bits(b)) for b in ci_structure_family()}),
+    ]
 
 
 class TestGroundRules:
@@ -307,6 +324,10 @@ class TestOrbits:
         # permutation types of four-variable semi-graphoids and CI structures
         assert len({min(orbit_bits(b)) for b in sg_family}) == 1_512
         assert len({min(orbit_bits(b)) for b in ci_family}) == 1_098
+
+    def test_outputs_match_pinned_digest(self):
+        digest = hashlib.sha256(repr(relabeling_outputs()).encode()).hexdigest()
+        assert digest == RELABELING_DIGEST
 
     def test_orbit_of_closed_structure_is_closed(self):
         s = induced_ci_structure(catalog.get("CON4").distribution)

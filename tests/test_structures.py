@@ -1,9 +1,15 @@
 """Canonical triplets, elementary expansion, and CI-structure containers."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cinfer.inference import orbit, orbit_bits
 from cinfer.sets import BasicSet
@@ -13,10 +19,14 @@ from cinfer.structures import (
     bit_count_for,
     canonical_triplets,
     expand_to_elementary,
+    image_words,
+    relabelings,
     triplet_index,
 )
 
-from oracles import naive_image
+from oracles import naive_image, naive_orbit
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = BasicSet(("x", "y", "z", "u"))
 X, Y, Z, U = 1, 2, 4, 8
@@ -148,7 +158,61 @@ class TestCIStructure:
         with pytest.raises(ValueError, match="at most 6 variables"):
             orbit_bits(1, 7)
 
+    def test_seven_variables_raise_before_any_table_is_built(self):
+        words, triplets = image_words.cache_info(), canonical_triplets.cache_info()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 6 variables"):
+            orbit_bits(1, 7)
+        assert time.perf_counter() - start < 0.5
+        assert image_words.cache_info().currsize == words.currsize
+        assert canonical_triplets.cache_info().currsize == triplets.currsize
+
     def test_bit_positions_documented_order(self):
         idx = triplet_index(4)
         s = CIStructure.from_statements(BASE, [("x", "y", "")])
         assert s.to_bits() == 1 << idx[ElementaryTriplet(0, 1, 0)] == 1
+
+
+def random_bits(n):
+    return st.integers(0, (1 << bit_count_for(n)) - 1).map(lambda bits: (bits, n))
+
+
+class TestImageWords:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(*map(random_bits, (2, 3, 4, 5))))
+    def test_orbit_bits_matches_naive_orbit(self, case):
+        bits, n = case
+        assert orbit_bits(bits, n) == naive_orbit(bits, n)
+
+    @settings(max_examples=3, deadline=None)
+    @given(random_bits(6))
+    def test_orbit_bits_matches_naive_orbit_on_six_variables(self, case):
+        bits, n = case
+        assert orbit_bits(bits, n) == naive_orbit(bits, n)
+
+    def test_lanes_follow_permutation_order(self):
+        rng = random.Random(13)
+        for n in (2, 3, 4, 5):
+            perms = list(itertools.permutations(range(n)))
+            width = bit_count_for(n)
+            for bits in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]:
+                assert list(relabelings(bits, n)) == [naive_image(bits, p, n) for p in perms]
+
+    def test_six_variable_words_fit_the_stated_size(self):
+        # 240 words of 720 lanes of 30 bytes: 5,184,000 bytes of bits, held
+        # by CPython in 30-bit digits of 4 bytes each
+        words, lanes = image_words(6)
+        assert len(words) == bit_count_for(6) == 240 and lanes.size == 720 * 30
+        assert sum(map(sys.getsizeof, words)) + sys.getsizeof(words) < 5_600_000
+
+    def test_import_builds_no_image_words(self):
+        env = dict(os.environ)
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        code = "import cinfer, cinfer.cli; print(cinfer.structures.image_words.cache_info())"
+        command = [sys.executable, "-c", code]
+        result = subprocess.run(
+            command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert "currsize=0)" in result.stdout
