@@ -18,11 +18,10 @@ The library has five layers:
   functions, with claim verification and the 92 irreducible structures.
 """
 
-from .sets import BasicSet, default_base
+from .sets import BasicSet
 from .setfn import (
     CheckWitness,
     SetFunction,
-    cardinality_function,
     delta,
     induced_ci_structure_of_rank,
     ingleton,
@@ -55,7 +54,6 @@ from .inference import (
     closure,
     ground_rules,
     is_closed,
-    meet_closure,
     orbit,
 )
 from .inequalities import (
@@ -84,14 +82,12 @@ __all__ = [
     "RULES",
     "SampleSpace",
     "SetFunction",
-    "cardinality_function",
     "catalog",
     "check_conditional_ingleton",
     "check_sixth_failure",
     "checks",
     "closure",
     "conditional_product",
-    "default_base",
     "delta",
     "double_markov_extend",
     "entropy_function",
@@ -110,7 +106,6 @@ __all__ = [
     "load_derivation_schemas",
     "marginal",
     "mask_form",
-    "meet_closure",
     "orbit",
     "tighten",
     "upper_indicator",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .dist import JointDistribution, entropy_function, induced_ci_structure, is_ci
@@ -24,14 +25,15 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _load_distribution(path: str) -> JointDistribution:
+def _load(path: str, from_json_dict):
+    """Read a JSON file and build an object from it with ``from_json_dict``;
+    nesting too deep for the decoder is malformed input like any other."""
     with open(path) as f:
-        return JointDistribution.from_json_dict(json.load(f))
-
-
-def _load_structure(path: str) -> CIStructure:
-    with open(path) as f:
-        return CIStructure.from_json_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return from_json_dict(data)
 
 
 def parse_statement(text: str, space) -> tuple[int, int, int]:
@@ -65,7 +67,7 @@ def _parse_groups(spec: str, space) -> list[int]:
 
 
 def cmd_entropy(args) -> int:
-    P = _load_distribution(args.distribution)
+    P = _load(args.distribution, JointDistribution.from_json_dict)
     h = entropy_function(P)
     if args.json:
         print(json.dumps(h.to_json_dict(), indent=2))
@@ -77,7 +79,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_check_ci(args) -> int:
-    P = _load_distribution(args.distribution)
+    P = _load(args.distribution, JointDistribution.from_json_dict)
     X, Y, Z = parse_statement(args.statement, P.space)
     result = is_ci(P, X, Y, Z)
     print(json.dumps({"holds": result}) if args.json else str(result).lower())
@@ -85,7 +87,7 @@ def cmd_check_ci(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    P = _load_distribution(args.distribution)
+    P = _load(args.distribution, JointDistribution.from_json_dict)
     s = induced_ci_structure(P)
     if args.json:
         print(json.dumps(s.to_json_dict(), indent=2))
@@ -95,7 +97,7 @@ def cmd_structure(args) -> int:
 
 
 def cmd_ingleton(args) -> int:
-    P = _load_distribution(args.distribution)
+    P = _load(args.distribution, JointDistribution.from_json_dict)
     groups = _parse_groups(args.xyzu, P.space)
     if len(groups) != 4:
         raise ValueError("--xyzu needs four comma-separated variable groups")
@@ -105,7 +107,7 @@ def cmd_ingleton(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    s = _load_structure(args.structure)
+    s = _load(args.structure, CIStructure.from_json_dict)
     closed = closure(s)
     if args.json:
         print(json.dumps(closed.to_json_dict(), indent=2))
@@ -167,6 +169,8 @@ def cmd_verify_inequality(args) -> int:
     if args.samples > inequalities.MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {inequalities.MAX_SAMPLES}")
     tol = args.tol if args.tol is not None else inequalities.FLOAT_TOL
+    if not 0 <= tol < math.inf:
+        raise ValueError("--tol must be a finite number of at least 0")
     reports = inequalities.sample_conditional_inequality(args.rule, samples=args.samples)
     low = min(r.ingleton_value for r in reports)
     ok = all(r.premises_hold and r.ingleton_value >= -tol for r in reports)

@@ -25,7 +25,6 @@ boundary.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import defaultdict
@@ -351,13 +350,6 @@ class JointDistribution:
                 raise ValueError(f"duplicate configuration {cfg}")
             density[cfg] = _probability(row["prob"])
         return JointDistribution(space, density)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @staticmethod
-    def loads(text: str) -> "JointDistribution":
-        return JointDistribution.from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ evaluating the functionals on the indicator basis of set functions.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -97,26 +96,18 @@ class InequalityReport:
     premises_hold: bool
     ingleton_value: float
 
-    @property
-    def consistent(self) -> bool:
-        """No violation observed: premises fail or the value clears -1e-9."""
-        return not self.premises_hold or self.ingleton_value >= -FLOAT_TOL
-
 
 def check_conditional_ingleton(
-    P: JointDistribution,
-    rule: ConditionalIngletonRule | int,
-    assignment: dict[str, object],
+    P: JointDistribution, rule_id: int, assignment: dict[str, object]
 ) -> InequalityReport:
-    """Evaluate one conditional inequality on a distribution.
+    """Evaluate conditional inequality ``rule_id`` (1..5) on a distribution.
 
     ``assignment`` maps the placeholders X, Y, Z, U to pairwise disjoint
     non-empty variable groups of P (masks or label collections).  Premises
     are tested exactly; the Ingleton value is computed on the entropy
     function.
     """
-    if isinstance(rule, int):
-        rule = CONDITIONAL_INGLETON_RULES[rule]
+    rule = CONDITIONAL_INGLETON_RULES[rule_id]
     masks = {k: P.space.mask(v) for k, v in assignment.items()}
     if set(masks) != {"X", "Y", "Z", "U"}:
         raise ValueError("assignment must cover exactly X, Y, Z, U")
@@ -265,9 +256,6 @@ class DerivationSchema:
     rule_premises: tuple[Pattern, Pattern]
     conclusion: Pattern
     extension: tuple[Pattern, Pattern] | None = None  # (addend, result)
-
-    def final_conclusion(self) -> Pattern:
-        return self.extension[1] if self.extension else self.conclusion
 
 
 def _as_pattern(raw) -> Pattern:
@@ -455,12 +443,10 @@ def random_premise_enforcing_distribution(
     return conditional_product(Q, R, A, B, C)
 
 
-def sample_conditional_inequality(
-    rule_id: int, samples: int = 200, seed: int = 2023
-) -> list[InequalityReport]:
+def sample_conditional_inequality(rule_id: int, samples: int = 200) -> list[InequalityReport]:
     """Evaluate one rule on randomly constructed premise-satisfying
-    distributions; every report must be consistent."""
-    rng = random.Random(seed * 100 + rule_id)
+    distributions, drawn from a random stream fixed per rule."""
+    rng = random.Random(202300 + rule_id)
     assignment = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
     out = []
     for _ in range(samples):

@@ -320,20 +320,20 @@ def is_closed_bits(bits: int, n: int = 4, ruleset: str = "all") -> bool:
     return True
 
 
-def closure(s: CIStructure, ruleset: str | None = None) -> CIStructure:
+def closure(s: CIStructure) -> CIStructure:
     """CI closure of a structure: the least superset closed under the rules.
 
-    Extensive, monotone and idempotent.  Defaults to all 27 properties on a
-    four-variable base and to the semi-graphoid rules otherwise.
+    Extensive, monotone and idempotent.  Uses all 27 properties on a
+    four-variable base and the semi-graphoid rules otherwise.
     """
-    ruleset = ruleset or ("all" if s.base.size == 4 else "sg")
+    ruleset = "all" if s.base.size == 4 else "sg"
     return CIStructure(s.base, closure_bits(s.bits, s.base.size, ruleset))
 
 
-def is_closed(s: CIStructure, ruleset: str | None = None) -> bool:
+def is_closed(s: CIStructure) -> bool:
     """True when every ground rule with satisfied premises has its
     conclusions inside the structure."""
-    ruleset = ruleset or ("all" if s.base.size == 4 else "sg")
+    ruleset = "all" if s.base.size == 4 else "sg"
     return is_closed_bits(s.bits, s.base.size, ruleset)
 
 
@@ -470,29 +470,17 @@ def dump_family(
 # ---------------------------------------------------------------------------
 
 
-def meet_closure_bits(seed_bits: Iterable[int], n: int = 4) -> set[int]:
-    """Least intersection-closed family of triplet bitsets containing the
-    seeds and the full structure.  It is the set of meets of all subsets of
-    the seeds (the empty subset giving the full structure), so each distinct
-    seed ``s`` in turn adds the meet with ``s`` of every member so far."""
-    family = {(1 << bit_count_for(n)) - 1}
+def meet_closure_bits(seed_bits: Iterable[int]) -> set[int]:
+    """Least intersection-closed family of four-variable triplet bitsets
+    containing the seeds and the full structure.  It is the set of meets of
+    all subsets of the seeds (the empty subset giving the full structure), so
+    each distinct seed ``s`` in turn adds the meet with ``s`` of every member
+    so far."""
+    family = {(1 << bit_count_for(4)) - 1}
     for s in {int(b) for b in seed_bits}:
         for w in tuple(family):
             family.add(w & s)
     return family
-
-
-def meet_closure(seeds: Sequence[CIStructure]) -> list[CIStructure]:
-    """Meet-closure of the seeds (plus the full structure), as structures
-    over the common base, sorted by bitmask."""
-    if not seeds:
-        raise ValueError("meet closure needs at least one seed")
-    base = seeds[0].base
-    for s in seeds[1:]:
-        if s.base != base:
-            raise ValueError("seeds must share one base")
-    bits = meet_closure_bits((s.bits for s in seeds), base.size)
-    return [CIStructure(base, b) for b in sorted(bits)]
 
 
 def orbit(s: CIStructure) -> list[CIStructure]:

@@ -19,16 +19,15 @@ subject of the conditional inequality checkers in :mod:`cinfer.inequalities`.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from numbers import Rational
-from typing import Callable, Mapping
+from typing import Callable
 
-from .sets import BasicSet, bit_indices, pairwise_disjoint, popcount, submasks
+from .sets import BasicSet, bit_indices, pairwise_disjoint, submasks
 from .structures import CIStructure
 
 Value = Fraction | int | float
@@ -84,35 +83,6 @@ class SetFunction:
     def from_callable(base: BasicSet, fn: Callable[[int], Value]) -> "SetFunction":
         return SetFunction(base, tuple(fn(m) for m in base.subsets()))
 
-    @staticmethod
-    def from_mapping(base: BasicSet, values: Mapping[int, Value]) -> "SetFunction":
-        return SetFunction(base, tuple(values[m] for m in base.subsets()))
-
-    @staticmethod
-    def zero(base: BasicSet) -> "SetFunction":
-        return SetFunction(base, (Fraction(0),) * (1 << base.size))
-
-    # -- arithmetic (pointwise) ------------------------------------------------
-
-    def __add__(self, other: "SetFunction") -> "SetFunction":
-        if self.base != other.base:
-            raise ValueError("set functions over different basic sets")
-        return SetFunction(
-            self.base, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other: "SetFunction") -> "SetFunction":
-        if self.base != other.base:
-            raise ValueError("set functions over different basic sets")
-        return SetFunction(
-            self.base, tuple(a - b for a, b in zip(self.values, other.values))
-        )
-
-    def __mul__(self, c: Value) -> "SetFunction":
-        return SetFunction(self.base, tuple(c * v for v in self.values))
-
-    __rmul__ = __mul__
-
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -137,14 +107,7 @@ class SetFunction:
         missing = [m for m in base.subsets() if m not in values]
         if missing:
             raise ValueError(f"missing value for subset mask {missing[0]:#x}")
-        return SetFunction.from_mapping(base, values)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @staticmethod
-    def loads(text: str) -> "SetFunction":
-        return SetFunction.from_json_dict(json.loads(text))
+        return SetFunction(base, tuple(values[m] for m in base.subsets()))
 
 
 def _parse_value(s: str | int | float) -> Value:
@@ -164,11 +127,6 @@ def upper_indicator(base: BasicSet, i: int) -> SetFunction:
     return SetFunction.from_callable(
         base, lambda m: Fraction(1) if m >> i & 1 else Fraction(0)
     )
-
-
-def cardinality_function(base: BasicSet) -> SetFunction:
-    """The modular function S -> |S|."""
-    return SetFunction.from_callable(base, lambda m: Fraction(popcount(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +266,13 @@ def _default_tol(h: SetFunction, tol: float | None) -> Value:
     return 0 if h.is_exact else 1e-9
 
 
-def is_polymatroid(
-    h: SetFunction, tol: float | None = None, full: bool = False
-) -> CheckWitness:
+def is_polymatroid(h: SetFunction, tol: float | None = None) -> CheckWitness:
     """Check h(empty) = 0 and non-negativity of all difference expressions.
 
     Only the elementary inequalities delta(i, j | K) >= 0 plus the n
     one-variable inequalities delta(i, i | N-i) >= 0 are evaluated; these
     imply the rest because a general difference expression decomposes into
-    a sum of elementary ones.  ``full=True`` additionally cross-checks
-    monotonicity and submodularity over all pairs of subsets.
+    a sum of elementary ones.
     """
     eps = _default_tol(h, tol)
     base = h.base
@@ -337,27 +292,15 @@ def is_polymatroid(
                 d = delta(h, si, sj, K)
                 if d < -eps:
                     return CheckWitness(False, (si, sj, K), d)
-    if full:
-        for I in base.subsets():
-            for i in range(n):
-                if not I >> i & 1:
-                    if h.values[I | 1 << i] - h.values[I] < -eps:
-                        return CheckWitness(
-                            False, (1 << i, 1 << i, I), h.values[I | 1 << i] - h.values[I]
-                        )
-            for J in base.subsets():
-                gap = h.values[I] + h.values[J] - h.values[I | J] - h.values[I & J]
-                if gap < -eps:
-                    return CheckWitness(False, (I & ~J, J & ~I, I & J), gap)
     return CheckWitness(True)
 
 
-def is_matroid(h: SetFunction, tol: float | None = None) -> bool:
+def is_matroid(h: SetFunction) -> bool:
     """Rank function of a matroid: a polymatroid, integer-valued, with
     0 <= h(I) <= |I| on every subset."""
-    if not is_polymatroid(h, tol).ok:
+    if not is_polymatroid(h).ok:
         return False
-    eps = _default_tol(h, tol)
+    eps = _default_tol(h, None)
     for m in h.base.subsets():
         v = h.values[m]
         if _is_exact(v):
@@ -365,7 +308,7 @@ def is_matroid(h: SetFunction, tol: float | None = None) -> bool:
                 return False
         elif abs(v - round(v)) > eps:
             return False
-        if v < -eps or v > popcount(m) + eps:
+        if v < -eps or v > m.bit_count() + eps:
             return False
     return True
 
@@ -378,19 +321,19 @@ def _tight_corrections(h: SetFunction) -> list[Value]:
     ]
 
 
-def is_tight(h: SetFunction, tol: float | None = None) -> bool:
+def is_tight(h: SetFunction) -> bool:
     """A polymatroid is tight when h(N) = h(N - i) for every variable i."""
-    _require_polymatroid(h, tol)
-    eps = _default_tol(h, tol)
+    _require_polymatroid(h)
+    eps = _default_tol(h, None)
     return all(abs(c) <= eps for c in _tight_corrections(h))
 
 
-def tighten(h: SetFunction, tol: float | None = None) -> SetFunction:
+def tighten(h: SetFunction) -> SetFunction:
     """Tightened version: subtract delta(i, i | N-i) times the indicator of
     supersets of i, for every i.  Idempotent; the result is a tight
     polymatroid with the same difference expressions on pairs of distinct
     variables."""
-    _require_polymatroid(h, tol)
+    _require_polymatroid(h)
     corrections = _tight_corrections(h)
     values = list(h.values)
     for m in h.base.subsets():
@@ -399,7 +342,7 @@ def tighten(h: SetFunction, tol: float | None = None) -> SetFunction:
     return SetFunction(h.base, tuple(values))
 
 
-def _require_polymatroid(h: SetFunction, tol: float | None) -> None:
+def _require_polymatroid(h: SetFunction, tol: float | None = None) -> None:
     w = is_polymatroid(h, tol)
     if not w.ok:
         raise ValueError(

@@ -10,7 +10,7 @@ the full mask).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,6 @@ class BasicSet:
         """All subset masks, ascending (the empty set first)."""
         return iter(range(1 << self.size))
 
-    def singletons(self) -> Iterator[int]:
-        return (1 << i for i in range(self.size))
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
 
@@ -145,10 +142,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def pairwise_disjoint(*masks: int) -> bool:
     union = 0
     for m in masks:
@@ -156,13 +149,3 @@ def pairwise_disjoint(*masks: int) -> bool:
             return False
         union |= m
     return True
-
-
-DEFAULT_NAMES: Sequence[str] = ("x", "y", "z", "u")
-
-
-def default_base(n: int = 4) -> BasicSet:
-    """Base with conventional labels x, y, z, u (then v5, v6, ... beyond four)."""
-    if n <= len(DEFAULT_NAMES):
-        return BasicSet(DEFAULT_NAMES[:n])
-    return BasicSet(tuple(DEFAULT_NAMES) + tuple(f"v{i}" for i in range(5, n + 1)))

@@ -20,7 +20,6 @@ permutations at once, one OR of packed :func:`image_words` per set bit
 from __future__ import annotations
 
 import itertools
-import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -226,34 +225,11 @@ class CIStructure:
     def issubset(self, other: "CIStructure") -> bool:
         return self.bits & ~self._other_bits(other) == 0
 
-    def permuted(self, perm: tuple[int, ...]) -> "CIStructure":
-        """Image under a permutation of variable positions (labels fixed)."""
-        n = self.base.size
-        perm = tuple(perm)
-        if len(perm) != n or set(perm) != set(range(n)):
-            raise ValueError(f"{perm} is not a permutation of the variable positions")
-        table, idx = canonical_triplets(n), triplet_index(n)
-        bits = 0
-        for b in bit_indices(self.bits):
-            bits |= 1 << idx[table[b].permuted(perm)]
-        return CIStructure(self.base, bits)
-
-    def with_base(self, base: BasicSet) -> "CIStructure":
-        """Reindex onto another base carrying the same labels (any order)."""
-        if set(base.names) != set(self.base.names):
-            raise ValueError("new base must carry the same labels")
-        perm = tuple(base.index(n) for n in self.base.names)
-        return CIStructure(base, self.permuted(perm).bits)
-
     # -- rendering and serialization ----------------------------------------
 
     def to_hex(self) -> str:
         width = (bit_count_for(self.base.size) + 3) // 4
         return format(self.bits, f"0{width}x")
-
-    @staticmethod
-    def from_hex(base: BasicSet, s: str) -> "CIStructure":
-        return CIStructure(base, int(s, 16))
 
     def render(self) -> str:
         if not self.bits:
@@ -292,10 +268,3 @@ class CIStructure:
         base = BasicSet(data["variables"])
         stmts = [(s["i"], s["j"], s.get("K", [])) for s in data["statements"]]
         return CIStructure.from_statements(base, stmts)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @staticmethod
-    def loads(text: str) -> "CIStructure":
-        return CIStructure.from_json_dict(json.loads(text))

@@ -126,6 +126,22 @@ def ingleton_from_table(values, X, Y, Z, U):
     )
 
 
+def all_pairs_polymatroid(values, n=4):
+    """Polymatroid test from the definition on an exact value table:
+    h(empty) = 0, monotone on every subset and one more variable, and
+    submodular on every pair of subsets."""
+    subsets = range(1 << n)
+    return (
+        values[0] == 0
+        and all(values[I | 1 << i] >= values[I] for I in subsets for i in range(n))
+        and all(
+            values[I] + values[J] >= values[I | J] + values[I & J]
+            for I in subsets
+            for J in subsets
+        )
+    )
+
+
 def naive_closure(bits, rules):
     """Fixpoint by repeated full passes over the rule list."""
     s = bits

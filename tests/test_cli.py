@@ -126,6 +126,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [argv for argv, _ in LOADING_VERBS], ids=lambda a: a[0])
+    def test_deeply_nested_json_is_an_input_error(self, argv, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main([str(path) if a is None else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestStructure:
     def test_text_output(self, ex1_file, capsys):
@@ -167,7 +176,7 @@ class TestClosure:
         base = BasicSet(("x", "y", "z", "u"))
         seed = CIStructure.from_statements(base, [("x", "y", ""), ("x", "z", "y")])
         path = tmp_path / "seed.json"
-        path.write_text(seed.dumps())
+        path.write_text(json.dumps(seed.to_json_dict()))
         assert main(["closure", str(path)]) == 0
         out = capsys.readouterr().out
         assert "(x,z|)" in out and "(x,y|z)" in out
@@ -177,7 +186,7 @@ class TestClosure:
 
         base = BasicSet(("x", "y", "z", "u"))
         path = tmp_path / "empty.json"
-        path.write_text(CIStructure.empty(base).dumps())
+        path.write_text(json.dumps(CIStructure.empty(base).to_json_dict()))
         assert main(["closure", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "(empty)"
 
@@ -240,6 +249,12 @@ class TestVerifyVerbs:
         assert calls == []
         assert main(["verify-inequality", "3", "--samples", "100000"]) == 0
         assert calls == [100000]
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
+    def test_verify_inequality_rejects_a_negative_or_non_finite_tol(self, tol, capsys):
+        assert main(["verify-inequality", "3", "--samples", "5", f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol") and err.count("\n") == 1
 
     def test_tol_belongs_to_verify_inequality(self, capsys):
         assert main(["verify-inequality", "3", "--samples", "5", "--tol", "1e-6"]) == 0

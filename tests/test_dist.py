@@ -3,6 +3,7 @@ divergence, and the intersection-variable extension."""
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -112,7 +113,7 @@ class TestConstruction:
         assert "\n" not in str(error.value)
 
     def test_json_round_trip(self):
-        again = JointDistribution.loads(EX5.dumps())
+        again = JointDistribution.from_json_dict(json.loads(json.dumps(EX5.to_json_dict())))
         assert again == EX5
         data = EX5.to_json_dict()
         assert data["variables"][0] == {"name": "x", "cardinality": 2}

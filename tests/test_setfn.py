@@ -1,6 +1,7 @@
 """Set-function calculus: difference/Ingleton expressions, rewritings,
 polymatroid predicates, tightening, and induced structures."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,6 @@ from cinfer.inequalities import FLOAT_TOL, random_distribution
 from cinfer.setfn import (
     MASK_TERMS,
     SetFunction,
-    cardinality_function,
     delta,
     induced_ci_structure_of_rank,
     ingleton,
@@ -29,7 +29,12 @@ from cinfer.setfn import (
 from cinfer.structures import CIStructure, canonical_triplets
 from cinfer.dist import entropy_function
 
-from oracles import delta_from_table, ingleton_from_table, random_rational_setfn
+from oracles import (
+    all_pairs_polymatroid,
+    delta_from_table,
+    ingleton_from_table,
+    random_rational_setfn,
+)
 
 BASE = BasicSet(("x", "y", "z", "u"))
 X, Y, Z, U = 1, 2, 4, 8
@@ -43,6 +48,8 @@ HXY_INDUCED = {
     ("x", "z", "u"), ("x", "u", "z"), ("y", "z", "u"), ("y", "u", "z"),
     ("z", "u", "x"), ("z", "u", "y"), ("z", "u", "xy"),
 }
+ZERO = SetFunction(BASE, (Fraction(0),) * 16)
+CARDINALITY = SetFunction.from_callable(BASE, lambda m: Fraction(m.bit_count()))
 
 
 def random_setfn(rng):
@@ -55,13 +62,14 @@ def random_polymatroid(rng):
     mixture is one)."""
     parts = [catalog.get(f"CON{k}").rank_function for k in range(1, 10)]
     parts.append(HXY)
-    parts.append(cardinality_function(BASE))
+    parts.append(CARDINALITY)
     parts += [upper_indicator(BASE, i) for i in range(4)]
-    out = SetFunction.zero(BASE)
+    values = ZERO.values
     for part in parts:
         if rng.random() < 0.45:
-            out = out + Fraction(rng.randint(1, 5), rng.randint(1, 4)) * part
-    return out
+            c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            values = tuple(a + c * b for a, b in zip(values, part.values))
+    return SetFunction(BASE, values)
 
 
 class TestDelta:
@@ -98,7 +106,7 @@ class TestIngleton:
         assert ingleton_from_table(HXY.values, X, Y, Z, U) == -1
 
     def test_zero_function(self):
-        assert ingleton(SetFunction.zero(BASE), X, Y, Z, U) == 0
+        assert ingleton(ZERO, X, Y, Z, U) == 0
 
     def test_swap_invariance(self):
         rng = random.Random(13)
@@ -168,8 +176,7 @@ class TestMaskForms:
         assert mask_form(HXY, 1, X, Y, Z, U) == Fraction(-1)
 
     def test_zero_function_all_forms(self):
-        z = SetFunction.zero(BASE)
-        assert all(mask_form(z, k, X, Y, Z, U) == 0 for k in range(1, 6))
+        assert all(mask_form(ZERO, k, X, Y, Z, U) == 0 for k in range(1, 6))
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
@@ -253,7 +260,7 @@ class TestExactLinearForms:
 class TestPolymatroid:
     def test_hxy(self):
         assert is_polymatroid(HXY).ok
-        assert is_polymatroid(HXY, full=True).ok
+        assert all_pairs_polymatroid(HXY.values)
 
     def test_nonzero_at_empty_set(self):
         h = SetFunction(BASE, (Fraction(1),) + HXY.values[1:])
@@ -280,7 +287,18 @@ class TestPolymatroid:
             h = random_setfn(rng)
             values = (Fraction(0),) + h.values[1:]  # force h(empty) = 0
             h = SetFunction(BASE, values)
-            assert is_polymatroid(h).ok == is_polymatroid(h, full=True).ok
+            assert is_polymatroid(h).ok == all_pairs_polymatroid(values)
+        # random tables are almost never polymatroids, so also take
+        # polymatroids with one value lowered, which sit on both sides
+        verdicts = set()
+        for _ in range(200):
+            values = list(random_polymatroid(rng).values)
+            values[rng.randrange(1, 16)] -= 1
+            h = SetFunction(BASE, tuple(values))
+            ok = is_polymatroid(h).ok
+            assert ok == all_pairs_polymatroid(values)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_random_mixtures_are_polymatroids(self):
         rng = random.Random(29)
@@ -305,11 +323,11 @@ class TestMatroid:
         assert not is_matroid(HXY)  # h({x}) = 2 exceeds the cardinality bound
 
     def test_zero_and_cardinality(self):
-        assert is_matroid(SetFunction.zero(BASE))
-        assert is_matroid(cardinality_function(BASE))
+        assert is_matroid(ZERO)
+        assert is_matroid(CARDINALITY)
 
     def test_rejects_fractional_values(self):
-        h = Fraction(1, 2) * cardinality_function(BASE)
+        h = SetFunction.from_callable(BASE, lambda m: Fraction(m.bit_count(), 2))
         assert is_polymatroid(h).ok and not is_matroid(h)
 
 
@@ -375,7 +393,7 @@ class TestInducedStructure:
         assert induced_ci_structure_of_rank(HXY, 0).members == expected.members
 
     def test_modular_function_gives_everything(self):
-        s = induced_ci_structure_of_rank(cardinality_function(BASE), 0)
+        s = induced_ci_structure_of_rank(CARDINALITY, 0)
         assert len(s) == 24
 
     def test_duplicated_bit_entropy_matches_claim(self):
@@ -393,15 +411,19 @@ class TestInducedStructure:
             assert delta(h, a, b | c, d) == delta(h, a, b, c | d) + delta(h, a, c, d)
 
 
+def round_trip(h):
+    return SetFunction.from_json_dict(json.loads(json.dumps(h.to_json_dict())))
+
+
 class TestSerialization:
     def test_rational_round_trip(self):
-        again = SetFunction.loads(HXY.dumps())
+        again = round_trip(HXY)
         assert again == HXY
         assert again.is_exact
 
     def test_float_round_trip(self):
         h = entropy_function(catalog.get("EX5").distribution)
-        again = SetFunction.loads(h.dumps())
+        again = round_trip(h)
         assert not again.is_exact
         assert all(
             float(a) == pytest.approx(float(b), abs=0)
