@@ -6,8 +6,6 @@ sets, and the symbolic verification of the nineteen derivation records
 (including why corrupting any single field breaks them).
 """
 
-from dataclasses import replace
-
 from cinfer import (
     BasicSet,
     CIStructure,
@@ -19,6 +17,7 @@ from cinfer import (
     verify_derivation,
 )
 from cinfer.inequalities import schema_mutations
+from cinfer.sets import replace
 
 base = BasicSet(("x", "y", "z", "u"))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -33,6 +32,7 @@ from .setfn import (
     is_tight,
     rank_functions_equal_upto_scale,
 )
+from .sets import FrozenRecord, Record, set_field
 from .structures import CIStructure
 
 ENTRY_IDS = (
@@ -47,20 +47,35 @@ CONSTRUCTION_IDS = tuple(f"CON{k}" for k in range(1, 10))
 PROPORTIONALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(FrozenRecord):
     """One catalog item with whatever data and claims it carries."""
 
     id: str
-    distribution: JointDistribution | None = None
-    rank_function: SetFunction | None = None
-    claimed_statements: CIStructure | None = None
-    statements_complete: bool = False
-    claimed_orbit_size: int | None = None
-    entropy_scale_ln_of: int | None = None
-    claimed_matroid: bool | None = None
-    claimed_tight: bool | None = None
-    claimed_ingleton: str | None = None
+    distribution: JointDistribution | None
+    rank_function: SetFunction | None
+    claimed_statements: CIStructure | None
+    statements_complete: bool
+    claimed_orbit_size: int | None
+    entropy_scale_ln_of: int | None
+    claimed_matroid: bool | None
+    claimed_tight: bool | None
+    claimed_ingleton: str | None
+
+    def __init__(
+        self, id, distribution=None, rank_function=None, claimed_statements=None,
+        statements_complete=False, claimed_orbit_size=None, entropy_scale_ln_of=None,
+        claimed_matroid=None, claimed_tight=None, claimed_ingleton=None,
+    ):
+        set_field(self, "id", id)
+        set_field(self, "distribution", distribution)
+        set_field(self, "rank_function", rank_function)
+        set_field(self, "claimed_statements", claimed_statements)
+        set_field(self, "statements_complete", statements_complete)
+        set_field(self, "claimed_orbit_size", claimed_orbit_size)
+        set_field(self, "entropy_scale_ln_of", entropy_scale_ln_of)
+        set_field(self, "claimed_matroid", claimed_matroid)
+        set_field(self, "claimed_tight", claimed_tight)
+        set_field(self, "claimed_ingleton", claimed_ingleton)
 
 
 def _load_json(name: str) -> dict:
@@ -111,12 +126,15 @@ def entries() -> list[CatalogEntry]:
     return [get(eid) for eid in ENTRY_IDS]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of re-deriving one entry's claims from its data."""
 
     id: str
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    checks: list[tuple[str, bool, str]]
+
+    def __init__(self, id: str, checks: list[tuple[str, bool, str]] | None = None):
+        self.id = id
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok), detail))

@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -30,7 +29,7 @@ from .dist import (
     marginal,
 )
 from .inference import ci_structure_family, meet_closure_bits, semigraphoid_family
-from .sets import BasicSet
+from .sets import BasicSet, Record, quoted
 from .setfn import SetFunction, delta, ingleton, is_matroid, is_polymatroid, is_tight, mask_form
 
 SEMIGRAPHOID_COUNT = 26_424
@@ -44,12 +43,17 @@ CLAIMED_STATEMENT_COUNTS = (20, 18, 18, 18, 18, 14, 12, 12, 12)
 _BASE4 = BasicSet(("x", "y", "z", "u"))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str
     seconds: float
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.seconds = seconds
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,7 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
 
 def run_check(name: str) -> CheckResult:
     if name not in CHECKS:
-        raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+        raise KeyError(f"unknown check {quoted(name)}; known: {', '.join(CHECKS)}")
     start = time.perf_counter()
     ok, detail = CHECKS[name]()
     return CheckResult(name, ok, detail, time.perf_counter() - start)

@@ -16,7 +16,7 @@ import sys
 
 from .dist import JointDistribution, entropy_function, induced_ci_structure, is_ci
 from .inference import ci_structure_family, closure, dump_family, semigraphoid_family
-from .sets import BasicSet
+from .sets import BasicSet, quoted
 from .setfn import ingleton
 from .structures import CIStructure
 
@@ -40,7 +40,7 @@ def parse_statement(text: str, space) -> tuple[int, int, int]:
     """Parse "<vars> _||_ <vars> | <vars>" into three masks; variable names
     are space-separated and the conditioning part may be empty."""
     if "_||_" not in text:
-        raise ValueError(f"statement {text!r} lacks the _||_ separator")
+        raise ValueError(f"statement {quoted(text)} lacks the _||_ separator")
     left, rest = text.split("_||_", 1)
     if "|" in rest:
         mid, cond = rest.split("|", 1)
@@ -268,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

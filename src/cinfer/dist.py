@@ -28,12 +28,11 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .sets import BasicSet, check_variable_count, checked_labels
+from .sets import BasicSet, Record, check_variable_count, checked_labels, quoted, set_field
 from .setfn import SetFunction
 from .structures import CIStructure, canonical_triplets
 
@@ -47,7 +46,6 @@ _MAX_DENOMINATOR = 10**MAX_EXPONENT
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
 class SampleSpace(BasicSet):
     """A basic set whose variables carry finite sample-space sizes.
 
@@ -65,9 +63,11 @@ class SampleSpace(BasicSet):
         if len(cards) != len(names):
             raise ValueError("one cardinality per variable required")
         if any(type(c) is not int or c < 1 for c in cards):
-            raise ValueError(f"cardinalities must be positive integers, got {cards}")
-        object.__setattr__(self, "names", checked_labels(names))
-        object.__setattr__(self, "cardinalities", cards)
+            raise ValueError(f"cardinalities must be positive integers, got {quoted(cards)}")
+        set_field(self, "names", checked_labels(names))
+        set_field(self, "cardinalities", cards)
+
+    __repr__ = Record.__repr__
 
     def base_set(self) -> BasicSet:
         return BasicSet(self.names)
@@ -91,9 +91,12 @@ def _probability(value) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > 3 or int(digits or 0) > MAX_EXPONENT:
             raise ValueError(
-                f"probability {text[:40]!r} has a decimal exponent beyond +-{MAX_EXPONENT}"
+                f"probability {quoted(text)} has a decimal exponent beyond +-{MAX_EXPONENT}"
             )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid probability {quoted(value)}") from None
 
 
 # Bounded: callers choose the cardinalities.
@@ -183,20 +186,24 @@ class JointDistribution:
         D = 1
         for cfg, p in density.items():
             if len(cfg) != space.size:
-                raise ValueError(f"configuration {cfg} has wrong length")
+                raise ValueError(f"configuration {quoted(cfg)} has wrong length")
             code = 0
             for v, c, (s, _) in zip(cfg, space.cardinalities, parts):
                 if type(v) is not int:
-                    raise ValueError(f"configuration {cfg} holds a non-integer value {v!r}")
+                    raise ValueError(
+                        f"configuration {quoted(cfg)} holds a non-integer value {quoted(v)}"
+                    )
                 if not 0 <= v < c:
-                    raise ValueError(f"value {v} out of range in configuration {cfg}")
+                    raise ValueError(
+                        f"value {quoted(v)} out of range in configuration {quoted(cfg)}"
+                    )
                 code |= v << s
             num, den = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
             if num < 0:
-                raise ValueError(f"negative probability at {cfg}")
+                raise ValueError(f"negative probability at {quoted(cfg)}")
             if num:
                 if code in rows:
-                    raise ValueError(f"duplicate configuration {cfg}")
+                    raise ValueError(f"duplicate configuration {quoted(cfg)}")
                 rows[code] = num, den
                 if D % den:
                     D = math.lcm(D, den)
@@ -347,7 +354,7 @@ class JointDistribution:
         for row in data["density"]:
             cfg = tuple(row["config"])
             if cfg in density:
-                raise ValueError(f"duplicate configuration {cfg}")
+                raise ValueError(f"duplicate configuration {quoted(cfg)}")
             density[cfg] = _probability(row["prob"])
         return JointDistribution(space, density)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -40,7 +39,7 @@ from .dist import (
     is_ci,
     marginal,
 )
-from .sets import BasicSet, pairwise_disjoint
+from .sets import BasicSet, FrozenRecord, pairwise_disjoint, replace, set_field
 from .setfn import (
     MASK_TERMS,
     SetFunction,
@@ -60,13 +59,16 @@ MAX_SAMPLES = 100_000
 Pattern = tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class ConditionalIngletonRule:
+class ConditionalIngletonRule(FrozenRecord):
     """Premise pair under which the Ingleton expression is non-negative
     for entropy functions."""
 
     id: int
     premises: tuple[Pattern, Pattern]
+
+    def __init__(self, id: int, premises: tuple[Pattern, Pattern]):
+        set_field(self, "id", id)
+        set_field(self, "premises", premises)
 
     def substituted_premises(self, swapped: bool = False) -> tuple[Pattern, Pattern]:
         """Premises after optionally exchanging [X, Z] <-> [Y, U]."""
@@ -88,13 +90,17 @@ CONDITIONAL_INGLETON_RULES: dict[int, ConditionalIngletonRule] = {
 }
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(FrozenRecord):
     """CI-premise status and Ingleton value of one rule on one distribution."""
 
     rule_id: int
     premises_hold: bool
     ingleton_value: float
+
+    def __init__(self, rule_id: int, premises_hold: bool, ingleton_value: float):
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "premises_hold", premises_hold)
+        set_field(self, "ingleton_value", ingleton_value)
 
 
 def check_conditional_ingleton(
@@ -145,11 +151,14 @@ def ex5_closed_form() -> float:
     return sum(c * math.log(b) for c, b in EX5_CLOSED_FORM_COEFFS)
 
 
-@dataclass
 class CounterexampleReport(catalog.VerificationReport):
     """A verification report that also carries the Ingleton value."""
 
-    ingleton_value: float = 0.0
+    ingleton_value: float
+
+    def __init__(self, id: str, checks: list | None = None, ingleton_value: float = 0.0):
+        super().__init__(id, checks)
+        self.ingleton_value = ingleton_value
 
 
 def verify_counterexample(example_id: int | str) -> CounterexampleReport:
@@ -241,8 +250,7 @@ def check_sixth_failure() -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationSchema:
+class DerivationSchema(FrozenRecord):
     """Record of one implication's derivation: rule (possibly swapped),
     rewriting index, the four vanishing premise terms, the two of them
     instantiating the rule, the forced conclusion, and an optional
@@ -255,7 +263,19 @@ class DerivationSchema:
     premises: tuple[Pattern, ...]
     rule_premises: tuple[Pattern, Pattern]
     conclusion: Pattern
-    extension: tuple[Pattern, Pattern] | None = None  # (addend, result)
+    extension: tuple[Pattern, Pattern] | None  # (addend, result)
+
+    def __init__(
+        self, target, rule, swapped, mask, premises, rule_premises, conclusion, extension=None
+    ):
+        set_field(self, "target", target)
+        set_field(self, "rule", rule)
+        set_field(self, "swapped", swapped)
+        set_field(self, "mask", mask)
+        set_field(self, "premises", premises)
+        set_field(self, "rule_premises", rule_premises)
+        set_field(self, "conclusion", conclusion)
+        set_field(self, "extension", extension)
 
 
 def _as_pattern(raw) -> Pattern:
@@ -372,8 +392,6 @@ def verify_derivation(schema: DerivationSchema) -> bool:
 def schema_mutations(schema: DerivationSchema) -> list[DerivationSchema]:
     """Three single-field corruptions of a schema, each of which must fail
     verification: the rewriting index, the rule id, and one premise."""
-    from dataclasses import replace
-
     mutated_mask = replace(schema, mask=schema.mask % 5 + 1)
     mutated_rule = replace(schema, rule=schema.rule % 5 + 1)
     # replace the first premise by a triplet pattern absent from the record

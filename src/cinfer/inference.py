@@ -24,12 +24,11 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .sets import BasicSet, bit_indices, submasks
+from .sets import BasicSet, FrozenRecord, bit_indices, set_field, submasks
 from .structures import (
     CIStructure,
     ElementaryTriplet,
@@ -42,8 +41,7 @@ from .structures import (
 Pattern = tuple[str, str, str]  # (first, second, conditioning) placeholder strings
 
 
-@dataclass(frozen=True)
-class InferenceRule:
+class InferenceRule(FrozenRecord):
     """Abstract CI property over placeholders X, Y, Z, U.
 
     ``premises`` and ``conclusions`` are triplet patterns; a multi-letter
@@ -54,7 +52,13 @@ class InferenceRule:
     id: str
     premises: tuple[Pattern, ...]
     conclusions: tuple[Pattern, ...]
-    bidirectional: bool = False
+    bidirectional: bool
+
+    def __init__(self, id, premises, conclusions, bidirectional=False):
+        set_field(self, "id", id)
+        set_field(self, "premises", premises)
+        set_field(self, "conclusions", conclusions)
+        set_field(self, "bidirectional", bidirectional)
 
 
 # The rule table.  S1 is built into triplet canonicalization and S0 has no
@@ -196,12 +200,15 @@ RULES: dict[str, InferenceRule] = {
 RULESETS = ("sg", "all")
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(FrozenRecord):
     """One instance of a rule over concrete variables, as triplet bitsets."""
 
     premise_bits: int
     conclusion_bits: int
+
+    def __init__(self, premise_bits: int, conclusion_bits: int):
+        set_field(self, "premise_bits", premise_bits)
+        set_field(self, "conclusion_bits", conclusion_bits)
 
 
 def _pattern_bits(patterns: Sequence[Pattern]) -> int:

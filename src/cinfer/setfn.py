@@ -21,13 +21,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from numbers import Rational
 from typing import Callable
 
-from .sets import BasicSet, bit_indices, pairwise_disjoint, submasks
+from .sets import (
+    BasicSet,
+    FrozenRecord,
+    bit_indices,
+    pairwise_disjoint,
+    quoted,
+    set_field,
+    submasks,
+)
 from .structures import CIStructure
 
 Value = Fraction | int | float
@@ -37,8 +44,7 @@ def _is_exact(v: Value) -> bool:
     return isinstance(v, Rational)
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(FrozenRecord):
     """Real-valued function on all subsets of a basic set.
 
     ``values[m]`` is the value at the subset with mask ``m``; the tuple has
@@ -48,11 +54,11 @@ class SetFunction:
     base: BasicSet
     values: tuple[Value, ...]
 
-    def __post_init__(self):
-        if len(self.values) != 1 << self.base.size:
-            raise ValueError(
-                f"need {1 << self.base.size} values, got {len(self.values)}"
-            )
+    def __init__(self, base: BasicSet, values: tuple[Value, ...]):
+        if len(values) != 1 << base.size:
+            raise ValueError(f"need {1 << base.size} values, got {len(values)}")
+        set_field(self, "base", base)
+        set_field(self, "values", values)
 
     @property
     def is_exact(self) -> bool:
@@ -69,7 +75,7 @@ class SetFunction:
         one Fraction become integer numerators over their least common
         denominator; other tables (all int, or with a float, a bool or
         another number type) are used as they are.  Cached outside the
-        dataclass fields, so equality, hash and repr do not see it."""
+        record fields, so equality, hash and repr do not see it."""
         values = self.values
         if set(map(type, values)) - {int} != {Fraction}:
             return values, None
@@ -102,7 +108,7 @@ class SetFunction:
         for key, s in raw.items():
             m = base.parse_label_string(key)
             if m in values:
-                raise ValueError(f"duplicate subset key {key!r}")
+                raise ValueError(f"duplicate subset key {quoted(key)}")
             values[m] = _parse_value(s)
         missing = [m for m in base.subsets() if m not in values]
         if missing:
@@ -117,7 +123,7 @@ def _parse_value(s: str | int | float) -> Value:
     try:
         return Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
     except ValueError:
-        raise ValueError(f"cannot parse set-function value {s!r}") from None
+        raise ValueError(f"cannot parse set-function value {quoted(s)}") from None
 
 
 def upper_indicator(base: BasicSet, i: int) -> SetFunction:
@@ -248,14 +254,20 @@ def mask_form(h: SetFunction, k: int, X: int, Y: int, Z: int, U: int) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckWitness:
+class CheckWitness(FrozenRecord):
     """Outcome of a polymatroid check; on failure carries the first
     violating triplet of masks and the (negative) offending value."""
 
     ok: bool
-    violating_triplet: tuple[int, int, int] | None = None
-    value: Value = 0
+    violating_triplet: tuple[int, int, int] | None
+    value: Value
+
+    def __init__(
+        self, ok: bool, violating_triplet: tuple[int, int, int] | None = None, value: Value = 0
+    ):
+        set_field(self, "ok", ok)
+        set_field(self, "violating_triplet", violating_triplet)
+        set_field(self, "value", value)
 
 
 def _default_tol(h: SetFunction, tol: float | None) -> Value:

@@ -9,12 +9,65 @@ the full mask).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
+# Sets a field of a FrozenRecord; only its __init__ does so.
+set_field = object.__setattr__
 
-@dataclass(frozen=True)
-class BasicSet:
+
+class Record:
+    """Base of the library's record types.
+
+    The fields are the names a class annotates, after those of its record
+    bases, and each class writes its own ``__init__``.  Instances are equal
+    when they have the same class and equal fields, and the repr is
+    ``Name(field=value, ...)``.  A plain record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        if fields:
+            get = attrgetter(*fields)
+            cls._key = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, in ``__init__`` through
+    :data:`set_field`, and whose hash is that of its field tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A new record of the same class with some fields changed, built
+    through its ``__init__``, so validation runs again."""
+    return type(record)(**dict(zip(record._fields, record._key), **changes))
+
+
+class BasicSet(FrozenRecord):
     """Ordered, duplicate-free collection of variable labels.
 
     At least two variables are required; a single variable admits no
@@ -27,7 +80,7 @@ class BasicSet:
         names = tuple(names)
         if len(names) < 2:
             raise ValueError("a basic set needs at least 2 variables")
-        object.__setattr__(self, "names", checked_labels(names))
+        set_field(self, "names", checked_labels(names))
 
     @property
     def size(self) -> int:
@@ -42,7 +95,7 @@ class BasicSet:
         try:
             return self.names.index(name)
         except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
+            raise KeyError(f"unknown variable {quoted(name)}") from None
 
     def mask(self, names: Iterable[str] | str) -> int:
         """Mask for a collection of labels (a string is split per character
@@ -76,12 +129,12 @@ class BasicSet:
                 if s.startswith(n, i):
                     bit = 1 << self.index(n)
                     if mask & bit:
-                        raise ValueError(f"label {n!r} repeated in {s!r}")
+                        raise ValueError(f"label {quoted(n)} repeated in {quoted(s)}")
                     mask |= bit
                     i += len(n)
                     break
             else:
-                raise ValueError(f"cannot parse subset key {s!r} over {self.names}")
+                raise ValueError(f"cannot parse subset key {quoted(s)} over {quoted(self.names)}")
         return mask
 
     def check_mask(self, mask: int) -> int:
@@ -109,6 +162,17 @@ class BasicSet:
 MAX_VARIABLES = 10
 
 
+# An error message quotes at most this many characters of an input value.
+MAX_QUOTED = 60
+
+
+def quoted(value) -> str:
+    """The repr of an input value for an error message, cut to MAX_QUOTED
+    characters."""
+    text = repr(value)
+    return text if len(text) <= MAX_QUOTED else text[: MAX_QUOTED - 3] + "..."
+
+
 def check_variable_count(variables: list) -> None:
     """Reject a loaded variable list longer than MAX_VARIABLES."""
     if len(variables) > MAX_VARIABLES:
@@ -120,7 +184,7 @@ def checked_labels(names: tuple) -> tuple[str, ...]:
     if not all(isinstance(n, str) and n for n in names):
         raise ValueError("variable labels must be non-empty strings")
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable labels in {names!r}")
+        raise ValueError(f"duplicate variable labels in {quoted(names)}")
     return names
 
 

@@ -21,32 +21,53 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .sets import BasicSet, bit_indices, check_variable_count, pairwise_disjoint, submasks
+from .sets import (
+    BasicSet,
+    FrozenRecord,
+    bit_indices,
+    check_variable_count,
+    pairwise_disjoint,
+    set_field,
+    submasks,
+)
 
 
-@dataclass(frozen=True, order=True)
-class ElementaryTriplet:
+class ElementaryTriplet(FrozenRecord):
     """Canonical elementary CI statement (i, j | K) with i < j.
 
     ``i`` and ``j`` are variable positions, ``K`` a conditioning mask
-    disjoint from both.
+    disjoint from both.  Triplets are ordered by (i, j, K).
     """
 
     i: int
     j: int
     K: int
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: int, j: int, K: int):
+        if i == j:
             raise ValueError("elementary triplet needs two distinct variables")
-        if self.i > self.j:
+        if i > j:
             raise ValueError("triplet not canonical: require i < j")
-        if self.K & (1 << self.i | 1 << self.j):
+        if K & (1 << i | 1 << j):
             raise ValueError("conditioning set must avoid both variables")
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "K", K)
+
+    def __lt__(self, other):
+        return self._key < other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self._key <= other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self._key > other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self._key >= other._key if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def canonical(i: int, j: int, K: int) -> "ElementaryTriplet":
@@ -145,17 +166,18 @@ def relabelings(bits: int, n: int) -> Iterator[int]:
     return map(int.from_bytes, lanes, itertools.repeat("big"))
 
 
-@dataclass(frozen=True)
-class CIStructure:
+class CIStructure(FrozenRecord):
     """Set of canonical elementary triplets over a basic set, stored as the
     bitmask of their frozen bit positions."""
 
     base: BasicSet
     bits: int
 
-    def __post_init__(self):
-        if not 0 <= self.bits < 1 << bit_count_for(self.base.size):
+    def __init__(self, base: BasicSet, bits: int):
+        if not 0 <= bits < 1 << bit_count_for(base.size):
             raise ValueError("bitmask has bits beyond the triplet table")
+        set_field(self, "base", base)
+        set_field(self, "bits", bits)
 
     # -- constructors ------------------------------------------------------
 
@@ -256,13 +278,17 @@ class CIStructure:
             and isinstance(data.get("variables"), list)
             and isinstance(data.get("statements"), list)
             and all(
-                isinstance(s, dict) and isinstance(s.get("K", []), (list, str))
+                isinstance(s, dict)
+                and isinstance(s.get("i"), str)
+                and isinstance(s.get("j"), str)
+                and isinstance(s.get("K", []), (list, str))
                 for s in data["statements"]
             )
         ):
             raise ValueError(
                 'a CI structure is a JSON object whose "variables" is a list and '
-                'whose "statements" is a list of objects with a list "K"'
+                'whose "statements" is a list of objects with string "i" and "j" '
+                'and a list "K"'
             )
         check_variable_count(data["variables"])
         base = BasicSet(data["variables"])

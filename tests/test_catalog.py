@@ -63,7 +63,7 @@ class TestVerification:
             assert c == pytest.approx(math.log(base), abs=1e-12)
 
     def test_broken_claim_is_reported(self):
-        from dataclasses import replace
+        from cinfer.sets import replace
 
         entry = catalog.get("CON1")
         broken = replace(entry, claimed_orbit_size=5)

@@ -70,6 +70,10 @@ BAD_DISTRIBUTIONS = {
             {"config": [1, 1], "prob": "9" * 101 + "/1" + "0" * 101},
         ],
     },
+    "prob-zero-denominator": {
+        "variables": [{"name": "x", "cardinality": 2}],
+        "density": [{"config": [0], "prob": "1/0"}],
+    },
     "name-not-string": {
         "variables": [{"name": "x", "cardinality": 2}, {"name": 5, "cardinality": 2}],
         "density": [{"config": [0, 0], "prob": "1"}],
@@ -96,6 +100,8 @@ BAD_STRUCTURES = {
     "statements-not-list": {"variables": ["x", "y"], "statements": 5},
     "K-not-list": {"variables": ["x", "y", "z"], "statements": [{"i": "x", "j": "y", "K": 5}]},
     "labels-not-strings": {"variables": [1, 2, 3], "statements": [{"i": 1, "j": 2, "K": [3]}]},
+    "i-not-string": {"variables": ["x", "y"], "statements": [{"i": ["x"], "j": "y", "K": []}]},
+    "j-missing": {"variables": ["x", "y"], "statements": [{"i": "x", "K": []}]},
     "eleven-variables": {"variables": ELEVEN_LABELS, "statements": []},
 }
 # argv with None where the input file goes
@@ -134,6 +140,62 @@ class TestMalformedInput:
         assert main([str(path) if a is None else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+LONG_LABEL = "v" * 5000
+
+
+def _distribution(prob=None, names=("x", "y")) -> dict:
+    return {
+        "variables": [{"name": n, "cardinality": 2} for n in names],
+        "density": [{"config": [0, 0], "prob": "1" if prob is None else prob}],
+    }
+
+
+def _structure(i="x", K=()) -> dict:
+    return {"variables": ["x", "y", "z"], "statements": [{"i": i, "j": "y", "K": list(K)}]}
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            pytest.param(["closure", None], _structure(i=LONG_LABEL), id="long-i"),
+            pytest.param(["closure", None], _structure(i=_nested(300)), id="deep-i"),
+            pytest.param(["closure", None], _structure(K=[LONG_LABEL]), id="long-K-label"),
+            pytest.param(["structure", None], _distribution(prob=_nested(300)), id="deep-prob"),
+            pytest.param(["structure", None], _distribution(prob="7" * 5000), id="long-prob"),
+            pytest.param(
+                ["structure", None], _distribution(names=(LONG_LABEL, LONG_LABEL)), id="dup-label"
+            ),
+            pytest.param(
+                ["check-ci", None, f"x _||_ {LONG_LABEL}"], _distribution(), id="long-statement"
+            ),
+            pytest.param(["check-ci", None, LONG_LABEL], _distribution(), id="no-separator"),
+        ],
+    )
+    def test_quoted_input_is_capped(self, argv, document, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        assert main([str(path) if a is None else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
+
+    def test_unknown_label_is_quoted_once(self, ex1_file, capsys):
+        assert main(["check-ci", ex1_file, "x _||_ w | "]) == 2
+        assert capsys.readouterr().err == "error: unknown variable 'w'\n"
+
+    def test_unknown_check_is_quoted_once(self, capsys):
+        assert main(["verify-paper", "--only", "nope"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown check 'nope'; known: ")
 
 
 class TestStructure:

@@ -1,0 +1,72 @@
+"""Fresh interpreters: what a cold `cinfer` process imports, and the
+`requires-python` floor."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DETAILS = json.loads((Path(__file__).parent / "verify_paper_details.json").read_text())
+
+
+def _env(**extra) -> dict:
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs in a fresh interpreter; prints which of the named modules got loaded.
+LOADED = """
+import sys
+{run}
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        "import cinfer.cli",
+        "import io, cinfer.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert cinfer.cli.main(['verify-paper']) == 0",
+    ],
+    ids=["import", "verify-paper"],
+)
+def test_cold_process_loads_no_dataclasses(run):
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED.format(run=run)],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "[]"
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.13"])
+def test_verify_paper_on_supported_interpreter(version):
+    """The package runs on the oldest and the newest supported Python.  A
+    pyenv shim runs its ``pythonX.Y`` only for the selected version, so
+    PYENV_VERSION selects it; any other interpreter ignores the variable."""
+    python = shutil.which(f"python{version}")
+    if python is None:
+        pytest.skip(f"python{version} is not on PATH")
+    env = _env(PYENV_VERSION=version)
+    probe = subprocess.run(
+        [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    if probe.returncode != 0:
+        pytest.skip(f"python{version} does not start")
+    assert probe.stdout.strip() == version
+    result = subprocess.run(
+        [python, "-m", "cinfer.cli", "verify-paper", "--json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    details = {r["check"]: r["detail"] for r in json.loads(result.stdout)}
+    assert details == DETAILS

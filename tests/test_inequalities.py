@@ -3,7 +3,6 @@ and the symbolic derivation verifier."""
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,7 @@ from cinfer.inequalities import (
     verify_derivation,
 )
 from cinfer.inference import RULES
+from cinfer.sets import replace
 from cinfer.setfn import ingleton
 
 from oracles import fraction_random_distribution
