@@ -30,6 +30,7 @@ from .sets import (
     BasicSet,
     FrozenRecord,
     bit_indices,
+    check_variable_count,
     pairwise_disjoint,
     quoted,
     set_field,
@@ -102,6 +103,20 @@ class SetFunction(FrozenRecord):
 
     @staticmethod
     def from_json_dict(data: dict) -> "SetFunction":
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("base"), list)
+            and isinstance(data.get("values"), dict)
+            and all(
+                isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                for v in data["values"].values()
+            )
+        ):
+            raise ValueError(
+                'a set function is a JSON object whose "base" is a list and whose '
+                '"values" maps subset keys to strings or numbers'
+            )
+        check_variable_count(data["base"])
         base = BasicSet(data["base"])
         raw = data["values"]
         values: dict[int, Value] = {}
@@ -117,13 +132,15 @@ class SetFunction(FrozenRecord):
 
 
 def _parse_value(s: str | int | float) -> Value:
-    if isinstance(s, (int, float)):
-        return s
-    s = s.strip()
-    try:
-        return Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
-    except ValueError:
-        raise ValueError(f"cannot parse set-function value {quoted(s)}") from None
+    if isinstance(s, str):
+        s = s.strip()
+        try:
+            s = Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
+        except ValueError:
+            raise ValueError(f"cannot parse set-function value {quoted(s)}") from None
+    if isinstance(s, float) and not math.isfinite(s):
+        raise ValueError(f"set-function value {s} is not finite")
+    return s
 
 
 def upper_indicator(base: BasicSet, i: int) -> SetFunction:

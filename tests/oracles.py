@@ -3,20 +3,20 @@
 Everything here recomputes results from first principles with the most
 direct (and slowest) method available: full-grid scans for the CI
 factorization, direct summation for marginals and entropies, repeated
-whole-table passes for rule closure, a test of every one of the 2**24
-candidate structures for the enumerated families, permutation orbits
-relabeled triplet by triplet, rules grounded afresh under every assignment
-of their placeholders, and a worklist meet-closure.  None of it shares code
-paths with the implementations under test, except the reference random
-distribution, which pins the random stream of a sampler and so builds its
-result through the public constructor.
+whole-table passes and a rule worklist for rule closure, a test of every
+one of the 2**24 candidate structures for the enumerated families,
+permutation orbits relabeled triplet by triplet, rules grounded afresh under
+every assignment of their placeholders, and a worklist meet-closure.  None
+of it shares code paths with the implementations under test, except the
+reference random distribution, which pins the random stream of a sampler
+and so builds its result through the public constructor.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 
 
@@ -152,6 +152,34 @@ def naive_closure(bits, rules):
             if r.premise_bits & ~s == 0 and r.conclusion_bits & ~s != 0:
                 s |= r.conclusion_bits
                 changed = True
+    return s
+
+
+def worklist_closure(bits, rules):
+    """Fixpoint by a rule worklist: every rule is queued once, and a rule
+    that adds triplets queues again each rule with one of them as a
+    premise."""
+    buckets = defaultdict(list)
+    for ri, r in enumerate(rules):
+        for b in range(r.premise_bits.bit_length()):
+            if r.premise_bits >> b & 1:
+                buckets[b].append(ri)
+    pending = deque(range(len(rules)))
+    queued = [True] * len(rules)
+    s = bits
+    while pending:
+        ri = pending.popleft()
+        queued[ri] = False
+        r = rules[ri]
+        new = r.conclusion_bits & ~s
+        if r.premise_bits & ~s == 0 and new:
+            s |= new
+            for b in range(new.bit_length()):
+                if new >> b & 1:
+                    for rj in buckets[b]:
+                        if not queued[rj]:
+                            queued[rj] = True
+                            pending.append(rj)
     return s
 
 

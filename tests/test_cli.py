@@ -103,6 +103,8 @@ BAD_STRUCTURES = {
     "i-not-string": {"variables": ["x", "y"], "statements": [{"i": ["x"], "j": "y", "K": []}]},
     "j-missing": {"variables": ["x", "y"], "statements": [{"i": "x", "K": []}]},
     "eleven-variables": {"variables": ELEVEN_LABELS, "statements": []},
+    # loads, but the rule engine covers at most eight variables
+    "nine-variables": {"variables": ELEVEN_LABELS[:9], "statements": []},
 }
 # argv with None where the input file goes
 LOADING_VERBS = [

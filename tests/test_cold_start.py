@@ -47,6 +47,22 @@ def test_cold_process_loads_no_dataclasses(run):
     assert result.stderr.strip() == "[]"
 
 
+def test_import_grounds_no_rules():
+    """Ground rules and the closure engine's rule bitsets are built on first
+    use, not at import: every `cinfer` call is a cold process."""
+    run = (
+        "import cinfer, cinfer.cli\n"
+        "from cinfer.inference import _Engine, _ground_rules_cached\n"
+        "print(_Engine.cache_info().currsize, _ground_rules_cached.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", run],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.13"])
 def test_verify_paper_on_supported_interpreter(version):
     """The package runs on the oldest and the newest supported Python.  A

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cinfer import catalog
+from cinfer import catalog, inference
 from cinfer.dist import induced_ci_structure
 from cinfer.inference import (
     GroundRule,
@@ -24,7 +25,7 @@ from cinfer.inference import (
     semigraphoid_family,
 )
 from cinfer.sets import BasicSet
-from cinfer.structures import CIStructure, triplet_index
+from cinfer.structures import CIStructure, bit_count_for, triplet_index
 
 from oracles import (
     brute_force_closed_family,
@@ -32,6 +33,7 @@ from oracles import (
     naive_closure,
     naive_ground_rules,
     naive_orbit,
+    worklist_closure,
     worklist_meet_closure,
 )
 
@@ -156,6 +158,18 @@ class TestClosure:
                 seed = rng.getrandbits(24)
                 assert closure_bits(seed, 4, ruleset) == naive_closure(seed, rules)
 
+    @pytest.mark.parametrize("n, ruleset", [(4, "all"), (3, "sg"), (4, "sg"), (5, "sg"), (6, "sg")])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_seeds_match_both_oracles(self, n, ruleset, data):
+        # a few seed triplets leave most rules blocked and take the longest
+        # chains of rounds to close
+        positions = data.draw(st.sets(st.integers(0, bit_count_for(n) - 1), max_size=8))
+        seed = sum(1 << b for b in positions)
+        rules = ground_rules(BasicSet(tuple("abcdef"[:n])), ruleset)
+        assert closure_bits(seed, n, ruleset) == worklist_closure(seed, rules)
+        assert worklist_closure(seed, rules) == naive_closure(seed, rules)
+
     def test_extensive_monotone_idempotent(self):
         rng = random.Random(103)
         for _ in range(10_000):
@@ -207,6 +221,28 @@ class TestClosure:
         )
         assert closed == expected
         assert is_closed(closed)
+
+
+class TestEngineBound:
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_entry_points_reject_large_bases(self, n):
+        base = BasicSet(tuple("abcdefghij"[:n]))
+        for call in (
+            lambda: closure(CIStructure.empty(base)),
+            lambda: is_closed(CIStructure.empty(base)),
+            lambda: ground_rules(base, "sg"),
+        ):
+            with pytest.raises(ValueError, match=f"at most 8 variables, got {n}$"):
+                call()
+
+    def test_rejected_before_grounding(self):
+        caches = (inference._ground_rules_cached, inference._Engine)
+        before = [c.cache_info().currsize for c in caches]
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            closure_bits(1, 9)
+        assert time.perf_counter() - start < 0.5
+        assert [c.cache_info().currsize for c in caches] == before
 
 
 class TestEnumeration:

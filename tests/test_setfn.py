@@ -4,6 +4,7 @@ polymatroid predicates, tightening, and induced structures."""
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -411,6 +412,9 @@ class TestInducedStructure:
             assert delta(h, a, b | c, d) == delta(h, a, b, c | d) + delta(h, a, c, d)
 
 
+XY_VALUES = {"": "0", "x": "1", "y": "1", "xy": "2"}
+
+
 def round_trip(h):
     return SetFunction.from_json_dict(json.loads(json.dumps(h.to_json_dict())))
 
@@ -447,3 +451,27 @@ class TestSerialization:
         data["values"]["q"] = "1"
         with pytest.raises(ValueError):
             SetFunction.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param([["x", "y"], XY_VALUES], id="not-an-object"),
+            pytest.param({"values": XY_VALUES}, id="base-missing"),
+            pytest.param({"base": "xy", "values": XY_VALUES}, id="base-not-list"),
+            pytest.param({"base": ["x", "y"], "values": ["0", "1", "1", "2"]}, id="values-list"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "x": [1]}}, id="value-list"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "x": None}}, id="value-null"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "x": True}}, id="value-true"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "": False}}, id="value-false"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "x": math.nan}}, id="nan"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "xy": "1e999"}}, id="inf"),
+            # 2**40 subsets: rejected by its size before any is listed
+            pytest.param({"base": [f"v{k}" for k in range(40)], "values": {}}, id="forty"),
+        ],
+    )
+    def test_wrong_shape_is_a_value_error(self, document):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            SetFunction.from_json_dict(json.loads(json.dumps(document)))
+        assert time.perf_counter() - start < 1
+        assert "\n" not in str(info.value)
