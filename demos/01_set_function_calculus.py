@@ -58,7 +58,7 @@ print(f"  tight:                     {is_tight(h)}")
 print(f"  matroid rank function:     {is_matroid(h)}  (h({{x}}) = 2 breaks the cardinality bound)")
 
 print("\ninduced CI structure (vanishing difference expressions):")
-print(" ", induced_ci_structure_of_rank(h, 0).render())
+print(" ", induced_ci_structure_of_rank(h).render())
 
 print("\ntightening a non-tight function:")
 up = upper_indicator(base, 0)

@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .dist import JointDistribution, entropy_function, induced_ci_structure
 from .inference import orbit, orbit_bits
 from .setfn import (
+    FLOAT_TOL,
     SetFunction,
     induced_ci_structure_of_rank,
     ingleton_of_singletons,
@@ -44,7 +46,6 @@ ENTRY_IDS = (
 
 COUNTEREXAMPLE_IDS = ("EX1", "EX2", "EX3", "EX4", "EX5")
 CONSTRUCTION_IDS = tuple(f"CON{k}" for k in range(1, 10))
-PROPORTIONALITY_TOL = 1e-9
 
 
 class CatalogEntry(FrozenRecord):
@@ -54,7 +55,6 @@ class CatalogEntry(FrozenRecord):
     distribution: JointDistribution | None
     rank_function: SetFunction | None
     claimed_statements: CIStructure | None
-    statements_complete: bool
     claimed_orbit_size: int | None
     entropy_scale_ln_of: int | None
     claimed_matroid: bool | None
@@ -63,14 +63,13 @@ class CatalogEntry(FrozenRecord):
 
     def __init__(
         self, id, distribution=None, rank_function=None, claimed_statements=None,
-        statements_complete=False, claimed_orbit_size=None, entropy_scale_ln_of=None,
-        claimed_matroid=None, claimed_tight=None, claimed_ingleton=None,
+        claimed_orbit_size=None, entropy_scale_ln_of=None, claimed_matroid=None,
+        claimed_tight=None, claimed_ingleton=None,
     ):
         set_field(self, "id", id)
         set_field(self, "distribution", distribution)
         set_field(self, "rank_function", rank_function)
         set_field(self, "claimed_statements", claimed_statements)
-        set_field(self, "statements_complete", statements_complete)
         set_field(self, "claimed_orbit_size", claimed_orbit_size)
         set_field(self, "entropy_scale_ln_of", entropy_scale_ln_of)
         set_field(self, "claimed_matroid", claimed_matroid)
@@ -83,6 +82,11 @@ def _load_json(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+@lru_cache(maxsize=None)
+def _claims() -> dict:
+    return _load_json("claims.json")
+
+
 _CACHE: dict[str, CatalogEntry] = {}
 
 
@@ -90,7 +94,7 @@ def get(entry_id: str) -> CatalogEntry:
     """Catalog entry by id (EX1..EX5, HXY, CON1..CON9, FULL)."""
     if entry_id in _CACHE:
         return _CACHE[entry_id]
-    claims = _load_json("claims.json")
+    claims = _claims()
     if entry_id not in claims:
         raise KeyError(f"unknown catalog entry {entry_id!r}; known: {ENTRY_IDS}")
     c = claims[entry_id]
@@ -111,7 +115,6 @@ def get(entry_id: str) -> CatalogEntry:
             if "statements" in c
             else None
         ),
-        statements_complete=c.get("statements_complete", False),
         claimed_orbit_size=c.get("orbit_size"),
         entropy_scale_ln_of=c.get("entropy_scale_ln_of"),
         claimed_matroid=c.get("is_matroid"),
@@ -155,30 +158,23 @@ def verify(entry: CatalogEntry) -> VerificationReport:
     if entry.distribution is not None:
         induced = induced_ci_structure(entry.distribution)
     if entry.claimed_statements is not None and induced is not None:
-        if entry.statements_complete:
-            report.add(
-                "statements",
-                induced == entry.claimed_statements,
-                f"induced {len(induced)} vs claimed {len(entry.claimed_statements)}",
-            )
-        else:
-            report.add(
-                "statements-hold",
-                entry.claimed_statements.issubset(induced),
-                "claimed statements not all induced",
-            )
+        report.add(
+            "statements",
+            induced == entry.claimed_statements,
+            f"induced {len(induced)} vs claimed {len(entry.claimed_statements)}",
+        )
     if entry.distribution is not None and entry.rank_function is not None:
         h = entropy_function(entry.distribution)
-        ok, c = rank_functions_equal_upto_scale(h, entry.rank_function, PROPORTIONALITY_TOL)
+        ok, c = rank_functions_equal_upto_scale(h, entry.rank_function)
         report.add("proportionality", ok, f"c = {c:.9f}")
         if entry.entropy_scale_ln_of is not None:
             report.add(
                 "scale-constant",
-                abs(c - math.log(entry.entropy_scale_ln_of)) <= PROPORTIONALITY_TOL,
+                abs(c - math.log(entry.entropy_scale_ln_of)) <= FLOAT_TOL,
                 f"c = {c:.9f} vs ln({entry.entropy_scale_ln_of})",
             )
         if entry.claimed_statements is not None:
-            rank_structure = induced_ci_structure_of_rank(entry.rank_function, 0)
+            rank_structure = induced_ci_structure_of_rank(entry.rank_function)
             report.add(
                 "rank-structure",
                 rank_structure == entry.claimed_statements,

@@ -30,7 +30,16 @@ from .dist import (
 )
 from .inference import ci_structure_family, meet_closure_bits, semigraphoid_family
 from .sets import BasicSet, Record, quoted
-from .setfn import SetFunction, delta, ingleton, is_matroid, is_polymatroid, is_tight, mask_form
+from .setfn import (
+    FLOAT_TOL,
+    SetFunction,
+    delta,
+    ingleton,
+    is_matroid,
+    is_polymatroid,
+    is_tight,
+    mask_form,
+)
 
 SEMIGRAPHOID_COUNT = 26_424
 CI_STRUCTURE_COUNT = 18_478
@@ -182,7 +191,7 @@ def check_conditional_inequalities() -> tuple[bool, str]:
             return False, f"rule {rule}: an enforced premise failed"
         low = min(r.ingleton_value for r in reports)
         worst = min(worst, low)
-        if low < -inequalities.FLOAT_TOL:
+        if low < -FLOAT_TOL:
             return False, f"rule {rule}: ingleton value {low!r} below tolerance"
     sixth = inequalities.check_sixth_failure()
     ok = sixth.premises_hold and sixth.ingleton_value < 0
@@ -233,7 +242,7 @@ def check_distribution_algebra() -> tuple[bool, str]:
             Pbar = conditional_product(marginal(P, A + C), marginal(P, B + C), A, B, C)
             div = kl_divergence(P, Pbar.reordered(P.names))
             dd = float(delta(h, P.mask(A), P.mask(B), P.mask(C)))
-            if abs(div - dd) > 1e-9:
+            if abs(div - dd) > FLOAT_TOL:
                 return False, (
                     f"{entry.id}: divergence {div!r} vs difference {dd!r} at {(A, B, C)}"
                 )

@@ -255,10 +255,6 @@ class JointDistribution:
             self._probs = {_config(self, code): Fraction(w, D) for code, w in self._weights.items()}
         return self._probs.items()
 
-    def prob(self, cfg: tuple) -> Fraction:
-        self.items()
-        return self._probs.get(tuple(cfg), Fraction(0))
-
     def mask(self, names: MaskLike) -> int:
         return self.space.mask(names)
 

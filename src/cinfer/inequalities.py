@@ -34,6 +34,8 @@ from importlib import resources
 from . import catalog
 from .dist import (
     JointDistribution,
+    SampleSpace,
+    _grid,
     conditional_product,
     entropy_function,
     is_ci,
@@ -41,6 +43,7 @@ from .dist import (
 )
 from .sets import BasicSet, FrozenRecord, pairwise_disjoint, replace, set_field
 from .setfn import (
+    FLOAT_TOL,
     MASK_TERMS,
     SetFunction,
     delta,
@@ -49,7 +52,6 @@ from .setfn import (
     substitute_pattern,
 )
 
-FLOAT_TOL = 1e-9
 NEGATIVE_MARGIN = 1e-3
 
 # `cinfer verify-inequality --samples` accepts at most this many samples:
@@ -427,25 +429,16 @@ PREMISE_ENFORCERS: dict[int, tuple[tuple[str, ...], tuple[str, ...], tuple[str, 
 }
 
 
-def random_distribution(
-    rng: random.Random,
-    names: tuple[str, ...] = ("x", "y", "z", "u"),
-    cards: tuple[int, ...] | None = None,
-    max_support: int = 10,
-    max_weight: int = 9,
-) -> JointDistribution:
-    """Random sparse rational distribution for property tests: integer
-    weights on a random support, over their sum."""
-    from .dist import SampleSpace, _grid
-
-    if cards is None:
-        cards = tuple(rng.choice((2, 2, 3)) for _ in names)
+def random_distribution(rng: random.Random) -> JointDistribution:
+    """Random sparse rational distribution on x, y, z, u, each of
+    cardinality 2 or 3: integer weights from 1 to 9 on 2 to 10 random
+    configurations, over their sum."""
+    cards = tuple(rng.choice((2, 2, 3)) for _ in range(4))
     grid = _grid(cards)
-    size = rng.randint(2, min(max_support, len(grid)))
-    support = rng.sample(grid, size)
-    weights = [rng.randint(1, max_weight) for _ in support]
+    support = rng.sample(grid, rng.randint(2, 10))
+    weights = [rng.randint(1, 9) for _ in support]
     return JointDistribution._from_weights(
-        SampleSpace(names, cards), dict(zip(support, weights)), sum(weights)
+        SampleSpace(("x", "y", "z", "u"), cards), dict(zip(support, weights)), sum(weights)
     )
 
 

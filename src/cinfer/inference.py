@@ -290,7 +290,6 @@ class _Engine:
     set when rule r has ``b`` among its premises."""
 
     def __init__(self, n: int, ruleset: str):
-        self.n = n
         self.rules = _ground_rules_cached(n, ruleset)
         self.premises = tuple(r.premise_bits for r in self.rules)
         self.conclusions = tuple(r.conclusion_bits for r in self.rules)

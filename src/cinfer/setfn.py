@@ -40,6 +40,11 @@ from .structures import CIStructure
 
 Value = Fraction | int | float
 
+# The one tolerance policy: exact set functions (ints and Fractions, used for
+# rank functions) compare exactly; float ones (entropy functions) compare at
+# this tolerance.
+FLOAT_TOL = 1e-9
+
 
 def _is_exact(v: Value) -> bool:
     return isinstance(v, Rational)
@@ -58,6 +63,8 @@ class SetFunction(FrozenRecord):
     def __init__(self, base: BasicSet, values: tuple[Value, ...]):
         if len(values) != 1 << base.size:
             raise ValueError(f"need {1 << base.size} values, got {len(values)}")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError("set-function values must be finite")
         set_field(self, "base", base)
         set_field(self, "values", values)
 
@@ -138,8 +145,6 @@ def _parse_value(s: str | int | float) -> Value:
             s = Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
         except ValueError:
             raise ValueError(f"cannot parse set-function value {quoted(s)}") from None
-    if isinstance(s, float) and not math.isfinite(s):
-        raise ValueError(f"set-function value {s} is not finite")
     return s
 
 
@@ -287,15 +292,11 @@ class CheckWitness(FrozenRecord):
         set_field(self, "value", value)
 
 
-def _default_tol(h: SetFunction, tol: float | None) -> Value:
-    if tol is not None:
-        if tol < 0:
-            raise ValueError("tolerance must be non-negative")
-        return tol
-    return 0 if h.is_exact else 1e-9
+def _tol(h: SetFunction) -> Value:
+    return 0 if h.is_exact else FLOAT_TOL
 
 
-def is_polymatroid(h: SetFunction, tol: float | None = None) -> CheckWitness:
+def is_polymatroid(h: SetFunction) -> CheckWitness:
     """Check h(empty) = 0 and non-negativity of all difference expressions.
 
     Only the elementary inequalities delta(i, j | K) >= 0 plus the n
@@ -303,7 +304,7 @@ def is_polymatroid(h: SetFunction, tol: float | None = None) -> CheckWitness:
     imply the rest because a general difference expression decomposes into
     a sum of elementary ones.
     """
-    eps = _default_tol(h, tol)
+    eps = _tol(h)
     base = h.base
     n = base.size
     if abs(h.values[0]) > eps:
@@ -329,7 +330,7 @@ def is_matroid(h: SetFunction) -> bool:
     0 <= h(I) <= |I| on every subset."""
     if not is_polymatroid(h).ok:
         return False
-    eps = _default_tol(h, None)
+    eps = _tol(h)
     for m in h.base.subsets():
         v = h.values[m]
         if _is_exact(v):
@@ -353,7 +354,7 @@ def _tight_corrections(h: SetFunction) -> list[Value]:
 def is_tight(h: SetFunction) -> bool:
     """A polymatroid is tight when h(N) = h(N - i) for every variable i."""
     _require_polymatroid(h)
-    eps = _default_tol(h, None)
+    eps = _tol(h)
     return all(abs(c) <= eps for c in _tight_corrections(h))
 
 
@@ -371,33 +372,30 @@ def tighten(h: SetFunction) -> SetFunction:
     return SetFunction(h.base, tuple(values))
 
 
-def _require_polymatroid(h: SetFunction, tol: float | None = None) -> None:
-    w = is_polymatroid(h, tol)
+def _require_polymatroid(h: SetFunction) -> None:
+    w = is_polymatroid(h)
     if not w.ok:
         raise ValueError(
             f"not a polymatroid rank function (violation {w.violating_triplet}, value {w.value})"
         )
 
 
-def induced_ci_structure_of_rank(
-    h: SetFunction, tol: float | None = None
-) -> CIStructure:
+def induced_ci_structure_of_rank(h: SetFunction) -> CIStructure:
     """Canonical elementary triplets whose difference expression vanishes.
 
-    With ``tol=0`` (exact rank functions) the test is exact; for float
-    functions a triplet counts as independent when |delta| <= tol.
-    The result is always a semi-graphoid.
+    On exact functions the test is exact; on float functions a triplet
+    counts as independent when |delta| <= FLOAT_TOL.  The result is always
+    a semi-graphoid.
     """
-    _require_polymatroid(h, tol)
-    eps = _default_tol(h, tol)
+    _require_polymatroid(h)
+    eps = _tol(h)
     return CIStructure.where(h.base, lambda X, Y, Z: abs(delta(h, X, Y, Z)) <= eps)
 
 
-def rank_functions_equal_upto_scale(
-    h: SetFunction, r: SetFunction, tol: float = 1e-9
-) -> tuple[bool, float]:
+def rank_functions_equal_upto_scale(h: SetFunction, r: SetFunction) -> tuple[bool, float]:
     """Test h = c * r for a single constant c > 0 (c from the full set), and
-    return (ok, c).  Requires r(N) > 0."""
+    return (ok, c).  Requires r(N) > 0.  The scaled values are floats, so
+    they compare at FLOAT_TOL."""
     if h.base != r.base:
         raise ValueError("set functions over different basic sets")
     full = h.base.full_mask
@@ -407,7 +405,7 @@ def rank_functions_equal_upto_scale(
     if c <= 0:
         return False, c
     ok = all(
-        abs(float(h.values[m]) - c * float(r.values[m])) <= tol for m in h.base.subsets()
+        abs(float(h.values[m]) - c * float(r.values[m])) <= FLOAT_TOL for m in h.base.subsets()
     )
     return ok, c
 

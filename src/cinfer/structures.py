@@ -182,14 +182,6 @@ class CIStructure(FrozenRecord):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def empty(base: BasicSet) -> "CIStructure":
-        return CIStructure(base, 0)
-
-    @staticmethod
-    def full(base: BasicSet) -> "CIStructure":
-        return CIStructure(base, (1 << bit_count_for(base.size)) - 1)
-
-    @staticmethod
     def where(base: BasicSet, holds: Callable[[int, int, int], bool]) -> "CIStructure":
         """The canonical triplets (i, j | K) over the base for which
         ``holds(1 << i, 1 << j, K)`` is true."""
@@ -243,9 +235,6 @@ class CIStructure(FrozenRecord):
 
     def __or__(self, other: "CIStructure") -> "CIStructure":
         return CIStructure(self.base, self.bits | self._other_bits(other))
-
-    def issubset(self, other: "CIStructure") -> bool:
-        return self.bits & ~self._other_bits(other) == 0
 
     # -- rendering and serialization ----------------------------------------
 

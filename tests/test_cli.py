@@ -250,7 +250,7 @@ class TestClosure:
 
         base = BasicSet(("x", "y", "z", "u"))
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps(CIStructure.empty(base).to_json_dict()))
+        path.write_text(json.dumps(CIStructure(base, 0).to_json_dict()))
         assert main(["closure", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "(empty)"
 

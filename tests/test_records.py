@@ -138,7 +138,6 @@ RECORDS = {
             "distribution": catalog.get("EX1").distribution,
             "rank_function": catalog.get("HXY").rank_function,
             "claimed_statements": CIStructure(XY, 1),
-            "statements_complete": True,
             "claimed_orbit_size": 6,
             "entropy_scale_ln_of": 2,
             "claimed_matroid": True,
@@ -146,9 +145,8 @@ RECORDS = {
             "claimed_ingleton": "-1",
         },
         "CatalogEntry(id='X', distribution=None, rank_function=None, "
-        "claimed_statements=None, statements_complete=False, claimed_orbit_size=None, "
-        "entropy_scale_ln_of=None, claimed_matroid=None, claimed_tight=None, "
-        "claimed_ingleton=None)",
+        "claimed_statements=None, claimed_orbit_size=None, entropy_scale_ln_of=None, "
+        "claimed_matroid=None, claimed_tight=None, claimed_ingleton=None)",
         True,
     ),
     "VerificationReport": (

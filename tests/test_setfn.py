@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cinfer import catalog
+from cinfer import catalog, inequalities, setfn
 from cinfer.sets import BasicSet
 from cinfer.inequalities import FLOAT_TOL, random_distribution
 from cinfer.setfn import (
@@ -391,15 +391,15 @@ class TestInducedStructure:
             if delta_from_table(HXY.values, 1 << t.i, 1 << t.j, t.K) == 0
         }
         assert scanned == expected.members
-        assert induced_ci_structure_of_rank(HXY, 0).members == expected.members
+        assert induced_ci_structure_of_rank(HXY).members == expected.members
 
     def test_modular_function_gives_everything(self):
-        s = induced_ci_structure_of_rank(CARDINALITY, 0)
+        s = induced_ci_structure_of_rank(CARDINALITY)
         assert len(s) == 24
 
     def test_duplicated_bit_entropy_matches_claim(self):
         h = entropy_function(catalog.get("CON1").distribution)
-        s = induced_ci_structure_of_rank(h, 1e-9)
+        s = induced_ci_structure_of_rank(h)
         assert s.members == catalog.get("CON1").claimed_statements.members
 
     def test_exchange_identity_for_any_function(self):
@@ -412,7 +412,59 @@ class TestInducedStructure:
             assert delta(h, a, b | c, d) == delta(h, a, b, c | d) + delta(h, a, c, d)
 
 
-XY_VALUES = {"": "0", "x": "1", "y": "1", "xy": "2"}
+TWO = BasicSet(("x", "y"))
+
+
+def modular_pair(delta_xy):
+    """h(empty) = 0, h(x) = h(y) = 1 and h(xy) = 2 - delta_xy, so that
+    delta(x, y | empty) = delta_xy and every other elementary inequality
+    holds with room to spare."""
+    zero, one = type(delta_xy)(0), type(delta_xy)(1)
+    return SetFunction(TWO, (zero, one, one, 2 * one - delta_xy))
+
+
+class TestTolerancePolicy:
+    def test_one_tolerance(self):
+        assert setfn.FLOAT_TOL == 1e-9
+        assert inequalities.FLOAT_TOL is setfn.FLOAT_TOL
+
+    def test_float_difference_inside_the_tolerance_passes(self):
+        h = modular_pair(-0.5e-9)
+        assert -setfn.FLOAT_TOL < delta(h, X, Y, 0) < 0
+        assert is_polymatroid(h).ok
+
+    def test_float_difference_beyond_the_tolerance_fails(self):
+        h = modular_pair(-2e-9)
+        w = is_polymatroid(h)
+        assert not w.ok and w.violating_triplet == (X, Y, 0) and w.value < -setfn.FLOAT_TOL
+
+    def test_exact_difference_below_zero_fails(self):
+        w = is_polymatroid(modular_pair(Fraction(-1, 10**12)))
+        assert not w.ok and w.violating_triplet == (X, Y, 0)
+        assert w.value == Fraction(-1, 10**12)
+
+    def test_near_zero_counts_as_independent_on_float_tables_only(self):
+        assert induced_ci_structure_of_rank(modular_pair(0.5e-9)).bits == 1
+        assert induced_ci_structure_of_rank(modular_pair(2e-9)).bits == 0
+        assert induced_ci_structure_of_rank(modular_pair(Fraction(1, 2 * 10**9))).bits == 0
+        assert induced_ci_structure_of_rank(modular_pair(Fraction(0))).bits == 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0, math.nan, math.nan, math.nan), (0, math.nan, 1, math.inf)],
+        ids=["nan", "nan-inf"],
+    )
+    def test_non_finite_values_are_rejected(self, values):
+        with pytest.raises(ValueError, match="^set-function values must be finite$"):
+            SetFunction(TWO, values)
+
+    def test_huge_fractions_are_finite(self):
+        # float() of this Fraction overflows; only floats are tested
+        big = Fraction(10**400)
+        assert SetFunction(TWO, (0, big, big, 2 * big)).values[3] == 2 * big
+
+
+XY_VALUES ={"": "0", "x": "1", "y": "1", "xy": "2"}
 
 
 def round_trip(h):

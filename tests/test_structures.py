@@ -102,10 +102,10 @@ class TestCIStructure:
         assert CIStructure(BASE, s.to_bits()) == s
 
     def test_hex_round_trip(self):
-        s = CIStructure.full(BASE)
+        s = CIStructure(BASE, (1 << bit_count_for(4)) - 1)
         assert s.to_hex() == "ffffff"
         assert int(s.to_hex(), 16) == s.bits
-        assert CIStructure.empty(BASE).to_hex() == "000000"
+        assert CIStructure(BASE, 0).to_hex() == "000000"
 
     def test_json_round_trip(self):
         s = CIStructure.from_statements(
@@ -123,11 +123,12 @@ class TestCIStructure:
 
     def test_meet_requires_same_base(self):
         other = BasicSet(("a", "b", "c", "d"))
+        full = (1 << bit_count_for(4)) - 1
         with pytest.raises(ValueError):
-            CIStructure.full(BASE) & CIStructure.full(other)
+            CIStructure(BASE, full) & CIStructure(other, full)
 
     def test_orbit_beyond_the_table_bound_raises(self):
-        s = CIStructure.empty(BasicSet("abcdefg"))
+        s = CIStructure(BasicSet("abcdefg"), 0)
         with pytest.raises(ValueError, match="at most 6 variables"):
             orbit(s)
         with pytest.raises(ValueError, match="at most 6 variables"):
