@@ -18,9 +18,11 @@ integer marginals by variable mask; a marginal keeps the parent's layout,
 its keys being ``code & fields[mask]``, so summing and the factorization
 test are AND masks.  Entropy and the induced structure fill all 2**n
 marginals top-down, each summed from the mask one variable up; a one-off
-marginal comes from the smallest cached superset.  Codes are repacked only
-where a new sample space is made, and decoded to tuples only at the
-boundary.
+marginal comes from the smallest cached superset.  A lattice product
+caches its factors' marginals in the same way, in its own layout, and
+pairs them; it never sums its own rows.
+Codes are repacked only where a new sample space is made, and decoded to
+tuples only at the boundary.
 """
 
 from __future__ import annotations
@@ -163,6 +165,35 @@ def _summed(rows: dict, keep: int) -> dict:
     return out
 
 
+def _cached(cache: dict, fields: tuple, mask: int) -> dict:
+    """The marginal of mask in a cache of marginals by mask (the full mask
+    always cached), summed if missing from its smallest cached superset, so
+    a query on a wide sparse table touches no intermediate marginal."""
+    if mask not in cache:
+        source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
+        cache[mask] = _summed(cache[source], fields[mask])
+    return cache[mask]
+
+
+def _filled(cache: dict, fields: tuple) -> dict:
+    """A cache of marginals by mask with every mask filled, in descending
+    mask order: each missing mask is summed from the marginal one variable
+    up, ``mask | (mask + 1)`` (its lowest missing bit set)."""
+    for mask in range(len(fields) - 2, -1, -1):
+        if mask not in cache:
+            cache[mask] = _summed(cache[mask | (mask + 1)], fields[mask])
+    return cache
+
+
+def _paired(q: dict, r: dict) -> dict:
+    """Weights of a lattice product from the same marginal of its two
+    factors (both in the product's layout): all products of their rows.  A
+    field of a product code is q * card_R + r with r < card_R, so masking a
+    sum masks each part, and distinct pairs of parts have distinct sums."""
+    pairs = r.items()
+    return {a + b: wa * wb for a, wa in q.items() for b, wb in pairs}
+
+
 def _moved(P: "JointDistribution", order: tuple, rows: dict) -> "JointDistribution":
     """Distribution over the variables of P at order, from weights over P's
     denominator keyed by codes of P."""
@@ -229,9 +260,12 @@ class JointDistribution:
         self.space = space
         self._parts, self._fields = _layout(space.cardinalities)
         self._D = D // g
-        self._weights: dict[int, int] = dict(sorted(weights.items()))
+        self._weights: dict[int, int] = {code: weights[code] for code in sorted(weights)}
         # integer marginal weights over _D, by variable mask
         self._marginals = {space.full_mask: self._weights}
+        # a lattice product's factor marginals, caches like _marginals, until
+        # every marginal is cached
+        self._factors: tuple[dict, dict] | None = None
         self._probs: dict[tuple, Fraction] | None = None
         self._structure: CIStructure | None = None
 
@@ -275,26 +309,30 @@ class JointDistribution:
         """Marginal weights over the common denominator, keyed by the codes
         masked by the fields of mask.
 
-        Cached.  A one-off marginal is summed from the smallest cached
-        marginal of a superset, so a query on a wide sparse distribution
-        touches no intermediate marginal; :meth:`_all_marginals` fills the
-        whole lattice when every mask is needed.
+        Cached.  A lattice product pairs its factors' marginals; any other
+        distribution sums a one-off marginal from the smallest cached
+        superset.  :meth:`_all_marginals` fills the whole lattice when every
+        mask is needed.
         """
         cache = self._marginals
         if mask not in cache:
-            source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
-            cache[mask] = _summed(cache[source], self._fields[mask])
+            if self._factors:
+                cache[mask] = _paired(*(_cached(f, self._fields, mask) for f in self._factors))
+            else:
+                _cached(cache, self._fields, mask)
         return cache[mask]
 
     def _all_marginals(self) -> dict[int, dict[int, int]]:
-        """The marginal weights of every mask, filled in descending mask
-        order: each missing mask is summed from the marginal one variable up,
-        ``mask | (mask + 1)`` (its lowest missing bit set)."""
+        """The marginal weights of every mask: a lattice product pairs its
+        factors' filled marginals, any other distribution fills its own."""
         cache, fields = self._marginals, self._fields
-        for mask in range(len(fields) - 2, -1, -1):
-            if mask not in cache:
-                cache[mask] = _summed(cache[mask | (mask + 1)], fields[mask])
-        return cache
+        if self._factors:
+            q, r = (_filled(f, fields) for f in self._factors)
+            for mask in range(len(fields)):
+                if mask not in cache:
+                    cache[mask] = _paired(q[mask], r[mask])
+            self._factors = None
+        return _filled(cache, fields)
 
     def marginal_density(self, A: MaskLike) -> dict[tuple, Fraction]:
         """Marginal density keyed by configurations of the variables in A,
@@ -484,21 +522,31 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
 
     Variable i of the result ranges over pairs (Q-value, R-value), encoded
     as q * card_R(i) + r.  The induced CI structure is exactly the
-    intersection of the factors' structures.
+    intersection of the factors' structures.  The result keeps both
+    factors' rows in its own layout, so each of its marginals is the
+    product of the factors' marginals over the same mask.
     """
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")
     space = SampleSpace(Q.names, [a * b for a, b in zip(Q.cardinalities, R.cardinalities)])
     parts = _layout(space.cardinalities)[0]
+    # a row of Q puts q * card_R in each field and a row of R puts r there;
     # q * card_R + r fits in its field, so the two parts add without carries
+    scaled = [(s, m, b, t) for (s, m), b, (t, _) in zip(Q._parts, R.cardinalities, parts) if m]
+    q = {}
+    for code, wq in Q._weights.items():
+        c = 0
+        for s, m, b, t in scaled:
+            c |= (code >> s & m) * b << t
+        q[c] = wq
     move = _packer(R._parts, tuple(range(len(parts))), parts)
-    q_parts = [
-        (sum(v * b << s for v, b, (s, _) in zip(_config(Q, code), R.cardinalities, parts)), wq)
-        for code, wq in Q._weights.items()
-    ]
-    r_parts = [(move(code), wr) for code, wr in R._weights.items()]
-    density = {q + r: wq * wr for q, wq in q_parts for r, wr in r_parts}
-    return JointDistribution._from_weights(space, density, Q._D * R._D)
+    r = {move(code): wr for code, wr in R._weights.items()}
+    # Reduced weights have gcd 1, and so do their pairwise products (the gcd
+    # of all a * b is gcd(a) * gcd(b)), so the product keeps the denominator
+    # Q._D * R._D over which the paired factor marginals are read.
+    L = JointDistribution._from_weights(space, _paired(q, r), Q._D * R._D)
+    L._factors = {space.full_mask: q}, {space.full_mask: r}
+    return L
 
 
 # ---------------------------------------------------------------------------

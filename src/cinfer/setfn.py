@@ -100,12 +100,16 @@ class SetFunction(FrozenRecord):
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """JSON form keyed by each subset's concatenated labels; ValueError
+        when two subsets concatenate to the same key."""
         vals = {}
         for m in self.base.subsets():
+            key = self.base.label_string(m)
+            if key in vals:
+                names = quoted(self.base.names)
+                raise ValueError(f"subsets of {names} share the key {quoted(key)}")
             v = self.values[m]
-            vals[self.base.label_string(m)] = (
-                str(Fraction(v)) if _is_exact(v) else repr(float(v))
-            )
+            vals[key] = str(Fraction(v)) if _is_exact(v) else repr(float(v))
         return {"base": list(self.base.names), "values": vals}
 
     @staticmethod
@@ -125,13 +129,12 @@ class SetFunction(FrozenRecord):
             )
         check_variable_count(data["base"])
         base = BasicSet(data["base"])
-        raw = data["values"]
+        masks = {base.label_string(m): m for m in base.subsets()}
         values: dict[int, Value] = {}
-        for key, s in raw.items():
-            m = base.parse_label_string(key)
-            if m in values:
-                raise ValueError(f"duplicate subset key {quoted(key)}")
-            values[m] = _parse_value(s)
+        for key, s in data["values"].items():
+            if key not in masks:
+                raise ValueError(f"unknown subset key {quoted(key)} over {quoted(base.names)}")
+            values[masks[key]] = _parse_value(s)
         missing = [m for m in base.subsets() if m not in values]
         if missing:
             raise ValueError(f"missing value for subset mask {missing[0]:#x}")

@@ -120,23 +120,6 @@ class BasicSet(FrozenRecord):
         """Concatenated labels of a mask (empty string for the empty set)."""
         return "".join(self.labels(mask))
 
-    def parse_label_string(self, s: str) -> int:
-        """Inverse of :meth:`label_string`; greedy longest-label matching."""
-        by_len = sorted(self.names, key=len, reverse=True)
-        mask, i = 0, 0
-        while i < len(s):
-            for n in by_len:
-                if s.startswith(n, i):
-                    bit = 1 << self.index(n)
-                    if mask & bit:
-                        raise ValueError(f"label {quoted(n)} repeated in {quoted(s)}")
-                    mask |= bit
-                    i += len(n)
-                    break
-            else:
-                raise ValueError(f"cannot parse subset key {quoted(s)} over {quoted(self.names)}")
-        return mask
-
     def check_mask(self, mask: int) -> int:
         if not 0 <= mask < 1 << len(self.names):
             raise ValueError(f"mask {mask:#x} out of range for {self.size} variables")

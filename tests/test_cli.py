@@ -143,6 +143,20 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_colliding_subset_keys_are_an_input_error(self, tmp_path, capsys):
+        # over a, b and ab, the subsets {a, b} and {ab} would share the key "ab"
+        path = tmp_path / "ab.json"
+        path.write_text(json.dumps({
+            "variables": [{"name": n, "cardinality": 2} for n in ("a", "b", "ab")],
+            "density": [
+                {"config": cfg, "prob": "1/3"} for cfg in ([0, 0, 0], [1, 0, 1], [0, 1, 1])
+            ],
+        }))
+        assert main(["entropy", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def _nested(depth: int) -> list:
     value = []

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cinfer import catalog
+from cinfer import catalog, dist
 from cinfer.dist import (
     DominanceError,
     JointDistribution,
@@ -374,6 +374,29 @@ class TestLatticeProduct:
         with pytest.raises(ValueError):
             lattice_product(EX1, marginal(EX1, "xyz"))
 
+    def test_fill_never_sums_the_product_rows(self, monkeypatch):
+        # the marginals of a lattice product come from its factors' tables,
+        # never from the 256 rows of the product itself
+        rng = random.Random(18)
+        grid = list(itertools.product((0, 1), repeat=4))
+        space = SampleSpace(NAMES, (2, 2, 2, 2))
+        Q, R = (
+            JointDistribution(space, {cfg: Fraction(w, sum(ws)) for cfg, w in zip(grid, ws)})
+            for ws in ([rng.randint(1, 9) for _ in grid] for _ in range(2))
+        )
+        L = lattice_product(Q, R)
+        assert len(L._weights) == 256
+        sizes, summed = [], dist._summed
+
+        def spy(rows, keep):
+            sizes.append(len(rows))
+            return summed(rows, keep)
+
+        monkeypatch.setattr(dist, "_summed", spy)
+        L._all_marginals()
+        assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
+        assert L._factors is None
+
 
 class TestDoubleMarkov:
     def test_duplicated_variable_classes(self):
@@ -517,6 +540,30 @@ class TestLatticeProperties:
             }
             assert len(decoded) == len(weights)
             assert decoded == marginal_table(density, cards, keep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: st.tuples(packed(n), packed(n))),
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 31), min_size=3, max_size=3)),
+            max_size=6,
+        ),
+    )
+    def test_factor_marginals_match_direct_summation(self, pair, queries):
+        (Q, _), (R, _) = pair
+        R = JointDistribution(SampleSpace(Q.names, R.cardinalities), dict(R.items()))
+        L = lattice_product(Q, R)
+        # one-off marginals and CI tests, in drawn order, before the fill
+        for density, masks in queries:
+            X, Y, Z = (m % (1 << L.space.size) for m in masks)
+            if density:
+                L.marginal_density(X)
+            else:
+                is_ci(L, X, Y, Z)
+        for mask, weights in L._all_marginals().items():
+            assert weights == dist._summed(L._weights, L._fields[mask])
+        # no gcd reduction: the factors' weights have gcd 1, so their products do
+        assert L._D == Q._D * R._D
 
     @settings(max_examples=100, deadline=None)
     @given(over((2, 3, 4, 5)))

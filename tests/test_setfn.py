@@ -1,6 +1,7 @@
 """Set-function calculus: difference/Ingleton expressions, rewritings,
 polymatroid predicates, tightening, and induced structures."""
 
+import itertools
 import json
 import math
 import random
@@ -491,6 +492,20 @@ class TestSerialization:
         assert data["values"][""] == "0"
         assert data["values"]["xy"] == "4"
         assert data["values"]["x"] == "2"
+
+    def test_round_trip_over_overlapping_labels(self):
+        # "ab" is a label and also the key of {a, b}: every base drawn from
+        # these labels either round-trips or refuses to be written
+        rng = random.Random(18)
+        for n in (2, 3, 4):
+            for labels in itertools.permutations(("a", "b", "ab", "ba"), n):
+                base = BasicSet(labels)
+                h = SetFunction(base, tuple(Fraction(rng.randint(0, 9), 7) for _ in range(1 << n)))
+                if len({base.label_string(m) for m in base.subsets()}) < 1 << n:
+                    with pytest.raises(ValueError, match="share the key"):
+                        h.to_json_dict()
+                else:
+                    assert round_trip(h) == h
 
     def test_missing_subset_rejected(self):
         data = HXY.to_json_dict()
