@@ -14,6 +14,7 @@ import json
 import math
 import sys
 
+from . import catalog, checks, inequalities
 from .dist import JointDistribution, entropy_function, induced_ci_structure, is_ci
 from .inference import ci_structure_family, closure, dump_family, semigraphoid_family
 from .sets import BasicSet, quoted
@@ -72,9 +73,8 @@ def cmd_entropy(args) -> int:
     if args.json:
         print(json.dumps(h.to_json_dict(), indent=2))
     else:
-        for m in h.base.subsets():
-            label = h.base.label_string(m) or "{}"
-            print(f"H({label}) = {float(h.values[m]):.12f}")
+        for label, m in h.base.subset_keys().items():
+            print(f"H({label or '{}'}) = {float(h.values[m]):.12f}")
     return EXIT_OK
 
 
@@ -126,8 +126,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_irreducibles(args) -> int:
-    from . import catalog
-
     members = catalog.all_irreducibles()
     if args.json:
         print(json.dumps([s.to_json_dict() for s in members], indent=1))
@@ -139,8 +137,6 @@ def cmd_irreducibles(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    from . import checks
-
     results = checks.run_all(only=args.only)
     if args.json:
         print(
@@ -160,8 +156,6 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_verify_inequality(args) -> int:
-    from . import inequalities
-
     if not 1 <= args.rule <= 5:
         raise ValueError("rule id must be 1..5")
     if args.samples < 1:

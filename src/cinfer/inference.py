@@ -308,18 +308,27 @@ def closure_bits(bits: int, n: int = 4, ruleset: str = "all") -> int:
 
     Round by round: the rules ready to fire are those blocked by no missing
     bit and not fired yet; a round adds all their conclusions at once, until
-    no rule is ready or the set stops growing.
+    no rule is ready or the set stops growing.  Both scans take the highest
+    set bit of an integer until none is left.
     """
     engine = _Engine(n, ruleset)
     blocking, conclusions = engine.blocking, engine.conclusions
     s, fired = bits, 0
     while True:
-        missing = bit_indices(engine.triplet_mask & ~s)
-        ready = engine.rule_mask & ~reduce(or_, map(blocking.__getitem__, missing), fired)
+        blocked, missing = fired, engine.triplet_mask & ~s
+        while missing:
+            b = missing.bit_length() - 1
+            blocked |= blocking[b]
+            missing ^= 1 << b
+        ready = engine.rule_mask & ~blocked
         if not ready:
             return s
         fired |= ready
-        grown = reduce(or_, map(conclusions.__getitem__, bit_indices(ready)), s)
+        grown = s
+        while ready:
+            r = ready.bit_length() - 1
+            grown |= conclusions[r]
+            ready ^= 1 << r
         if grown == s:
             return s
         s = grown

@@ -103,11 +103,7 @@ class SetFunction(FrozenRecord):
         """JSON form keyed by each subset's concatenated labels; ValueError
         when two subsets concatenate to the same key."""
         vals = {}
-        for m in self.base.subsets():
-            key = self.base.label_string(m)
-            if key in vals:
-                names = quoted(self.base.names)
-                raise ValueError(f"subsets of {names} share the key {quoted(key)}")
+        for key, m in self.base.subset_keys().items():
             v = self.values[m]
             vals[key] = str(Fraction(v)) if _is_exact(v) else repr(float(v))
         return {"base": list(self.base.names), "values": vals}
@@ -129,7 +125,7 @@ class SetFunction(FrozenRecord):
             )
         check_variable_count(data["base"])
         base = BasicSet(data["base"])
-        masks = {base.label_string(m): m for m in base.subsets()}
+        masks = base.subset_keys()
         values: dict[int, Value] = {}
         for key, s in data["values"].items():
             if key not in masks:

@@ -120,6 +120,17 @@ class BasicSet(FrozenRecord):
         """Concatenated labels of a mask (empty string for the empty set)."""
         return "".join(self.labels(mask))
 
+    def subset_keys(self) -> dict[str, int]:
+        """Each subset's concatenated labels, mapped to its mask in ascending
+        order; ValueError when two subsets concatenate to the same key."""
+        keys: dict[str, int] = {}
+        for m in self.subsets():
+            key = self.label_string(m)
+            if key in keys:
+                raise ValueError(f"subsets of {quoted(self.names)} share the key {quoted(key)}")
+            keys[key] = m
+        return keys
+
     def check_mask(self, mask: int) -> int:
         if not 0 <= mask < 1 << len(self.names):
             raise ValueError(f"mask {mask:#x} out of range for {self.size} variables")

@@ -143,7 +143,8 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_colliding_subset_keys_are_an_input_error(self, tmp_path, capsys):
+    @staticmethod
+    def _colliding_labels(tmp_path):
         # over a, b and ab, the subsets {a, b} and {ab} would share the key "ab"
         path = tmp_path / "ab.json"
         path.write_text(json.dumps({
@@ -152,7 +153,17 @@ class TestMalformedInput:
                 {"config": cfg, "prob": "1/3"} for cfg in ([0, 0, 0], [1, 0, 1], [0, 1, 1])
             ],
         }))
-        assert main(["entropy", "--json", str(path)]) == 2
+        return str(path)
+
+    def test_colliding_subset_keys_are_an_input_error(self, tmp_path, capsys):
+        assert main(["entropy", "--json", self._colliding_labels(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_colliding_subset_keys_in_text_output(self, tmp_path, capsys):
+        # the text form would print H(ab) twice
+        assert main(["entropy", self._colliding_labels(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

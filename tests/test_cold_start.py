@@ -47,6 +47,34 @@ def test_cold_process_loads_no_dataclasses(run):
     assert result.stderr.strip() == "[]"
 
 
+# The layers a traced bench run wraps: `import cinfer, cinfer.cli` loads them all.
+LAYERS = ("cli", "checks", "inference", "dist", "setfn", "inequalities", "catalog")
+
+
+@pytest.mark.parametrize(
+    "run, loaded",
+    [
+        ("import cinfer", ["cinfer"]),
+        ("import cinfer.inference", ["cinfer", "cinfer.inference", "cinfer.sets", "cinfer.structures"]),
+        (
+            "import cinfer, cinfer.cli",
+            sorted(["cinfer", "cinfer.sets", "cinfer.structures"] + [f"cinfer.{m}" for m in LAYERS]),
+        ),
+    ],
+    ids=["package", "inference", "cli"],
+)
+def test_import_loads_only_the_layers_it_needs(run, loaded):
+    """The package binds its names on first access, so a process loads only
+    the layers it imports; the inference layer needs no distributions."""
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cinfer'))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{run}\n{report}"],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(loaded)
+
+
 def test_import_grounds_no_rules():
     """Ground rules and the closure engine's rule bitsets are built on first
     use, not at import: every `cinfer` call is a cold process."""

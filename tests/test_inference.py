@@ -171,6 +171,15 @@ class TestClosure:
         assert closure_bits(seed, n, ruleset) == worklist_closure(seed, rules)
         assert worklist_closure(seed, rules) == naive_closure(seed, rules)
 
+    @pytest.mark.parametrize("ruleset", ["sg", "all"])
+    @settings(max_examples=60, deadline=None)
+    @given(positions=st.sets(st.integers(0, 23), min_size=9, max_size=24))
+    def test_dense_seeds_match_worklist(self, ruleset, positions):
+        # many seed triplets leave many rules ready and few missing bits to
+        # scan; uniform 24-bit seeds rarely hold more than 18
+        seed = sum(1 << b for b in positions)
+        assert closure_bits(seed, 4, ruleset) == worklist_closure(seed, ground_rules(BASE, ruleset))
+
     def test_extensive_monotone_idempotent(self):
         rng = random.Random(103)
         for _ in range(10_000):
