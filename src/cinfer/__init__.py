@@ -23,8 +23,8 @@ cinfer`` loads no layer and a process pays only for the layers it uses.
 
 from importlib import import_module
 
-# The layer module that defines each package-level name; ``catalog`` and
-# ``checks`` are layer modules themselves.
+# The layer module that defines each exported name (the keys make
+# ``__all__``); ``catalog`` and ``checks`` are layer modules themselves.
 _HOME = {
     name: module
     for module, names in {
@@ -98,45 +98,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasicSet",
-    "CIStructure",
-    "CheckWitness",
-    "ConsonanceError",
-    "CONDITIONAL_INGLETON_RULES",
-    "DominanceError",
-    "ElementaryTriplet",
-    "GroundRule",
-    "InferenceRule",
-    "JointDistribution",
-    "RULES",
-    "SampleSpace",
-    "SetFunction",
-    "catalog",
-    "check_conditional_ingleton",
-    "check_sixth_failure",
-    "checks",
-    "closure",
-    "conditional_product",
-    "delta",
-    "double_markov_extend",
-    "entropy_function",
-    "expand_to_elementary",
-    "ground_rules",
-    "induced_ci_structure",
-    "induced_ci_structure_of_rank",
-    "ingleton",
-    "is_ci",
-    "is_closed",
-    "is_matroid",
-    "is_polymatroid",
-    "is_tight",
-    "kl_divergence",
-    "lattice_product",
-    "load_derivation_schemas",
-    "marginal",
-    "mask_form",
-    "orbit",
-    "tighten",
-    "upper_indicator",
-]
+__all__ = list(_HOME)

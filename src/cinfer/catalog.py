@@ -34,7 +34,7 @@ from .setfn import (
     is_tight,
     rank_functions_equal_upto_scale,
 )
-from .sets import FrozenRecord, Record, set_field
+from .sets import FrozenRecord, Record
 from .structures import CIStructure
 
 ENTRY_IDS = (
@@ -60,21 +60,6 @@ class CatalogEntry(FrozenRecord):
     claimed_matroid: bool | None
     claimed_tight: bool | None
     claimed_ingleton: str | None
-
-    def __init__(
-        self, id, distribution=None, rank_function=None, claimed_statements=None,
-        claimed_orbit_size=None, entropy_scale_ln_of=None, claimed_matroid=None,
-        claimed_tight=None, claimed_ingleton=None,
-    ):
-        set_field(self, "id", id)
-        set_field(self, "distribution", distribution)
-        set_field(self, "rank_function", rank_function)
-        set_field(self, "claimed_statements", claimed_statements)
-        set_field(self, "claimed_orbit_size", claimed_orbit_size)
-        set_field(self, "entropy_scale_ln_of", entropy_scale_ln_of)
-        set_field(self, "claimed_matroid", claimed_matroid)
-        set_field(self, "claimed_tight", claimed_tight)
-        set_field(self, "claimed_ingleton", claimed_ingleton)
 
 
 def _load_json(name: str) -> dict:
@@ -135,11 +120,7 @@ class VerificationReport(Record):
     id: str
     checks: list[tuple[str, bool, str]]
 
-    def __init__(self, id: str, checks: list[tuple[str, bool, str]] | None = None):
-        self.id = id
-        self.checks = [] if checks is None else checks
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
+    def add(self, name: str, ok: bool, detail: str) -> None:
         self.checks.append((name, bool(ok), detail))
 
     @property
@@ -153,7 +134,7 @@ class VerificationReport(Record):
 def verify(entry: CatalogEntry) -> VerificationReport:
     """Re-derive every claim of an entry: induced structure, entropy-rank
     proportionality, orbit size, and the rank-function predicates."""
-    report = VerificationReport(entry.id)
+    report = VerificationReport(entry.id, [])
     induced = None
     if entry.distribution is not None:
         induced = induced_ci_structure(entry.distribution)

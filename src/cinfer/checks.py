@@ -58,12 +58,6 @@ class CheckResult(Record):
     detail: str
     seconds: float
 
-    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.seconds = seconds
-
 
 # ---------------------------------------------------------------------------
 # Individual checks

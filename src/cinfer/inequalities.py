@@ -41,7 +41,7 @@ from .dist import (
     is_ci,
     marginal,
 )
-from .sets import BasicSet, FrozenRecord, pairwise_disjoint, replace, set_field
+from .sets import BasicSet, FrozenRecord, pairwise_disjoint, replace
 from .setfn import (
     FLOAT_TOL,
     MASK_TERMS,
@@ -67,10 +67,6 @@ class ConditionalIngletonRule(FrozenRecord):
 
     id: int
     premises: tuple[Pattern, Pattern]
-
-    def __init__(self, id: int, premises: tuple[Pattern, Pattern]):
-        set_field(self, "id", id)
-        set_field(self, "premises", premises)
 
     def substituted_premises(self, swapped: bool = False) -> tuple[Pattern, Pattern]:
         """Premises after optionally exchanging [X, Z] <-> [Y, U]."""
@@ -98,11 +94,6 @@ class InequalityReport(FrozenRecord):
     rule_id: int
     premises_hold: bool
     ingleton_value: float
-
-    def __init__(self, rule_id: int, premises_hold: bool, ingleton_value: float):
-        set_field(self, "rule_id", rule_id)
-        set_field(self, "premises_hold", premises_hold)
-        set_field(self, "ingleton_value", ingleton_value)
 
 
 def check_conditional_ingleton(
@@ -158,10 +149,6 @@ class CounterexampleReport(catalog.VerificationReport):
 
     ingleton_value: float
 
-    def __init__(self, id: str, checks: list | None = None, ingleton_value: float = 0.0):
-        super().__init__(id, checks)
-        self.ingleton_value = ingleton_value
-
 
 def verify_counterexample(example_id: int | str) -> CounterexampleReport:
     """Re-derive one counterexample certificate from its catalog density:
@@ -173,16 +160,12 @@ def verify_counterexample(example_id: int | str) -> CounterexampleReport:
         raise ValueError(f"counterexample id must be one of {catalog.COUNTEREXAMPLE_IDS}")
     entry = catalog.get(eid)
     P = entry.distribution
-    report = CounterexampleReport(eid)
-
-    claimed = entry.claimed_statements
-    stmts_ok = all(is_ci(P, 1 << t.i, 1 << t.j, t.K) for t in claimed)
-    report.add("claimed-statements", stmts_ok, "a claimed CI statement fails")
-
+    stmts_ok = all(is_ci(P, 1 << t.i, 1 << t.j, t.K) for t in entry.claimed_statements)
     h = entropy_function(P)
     X, Y, Z, U = (P.space.mask(n) for n in ("x", "y", "z", "u"))
     value = float(ingleton(h, X, Y, Z, U))
-    report.ingleton_value = value
+    report = CounterexampleReport(eid, [], value)
+    report.add("claimed-statements", stmts_ok, "a claimed CI statement fails")
 
     if eid == "EX5":
         sixteenfold = 16.0 * value
@@ -266,18 +249,6 @@ class DerivationSchema(FrozenRecord):
     rule_premises: tuple[Pattern, Pattern]
     conclusion: Pattern
     extension: tuple[Pattern, Pattern] | None  # (addend, result)
-
-    def __init__(
-        self, target, rule, swapped, mask, premises, rule_premises, conclusion, extension=None
-    ):
-        set_field(self, "target", target)
-        set_field(self, "rule", rule)
-        set_field(self, "swapped", swapped)
-        set_field(self, "mask", mask)
-        set_field(self, "premises", premises)
-        set_field(self, "rule_premises", rule_premises)
-        set_field(self, "conclusion", conclusion)
-        set_field(self, "extension", extension)
 
 
 def _as_pattern(raw) -> Pattern:

@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .sets import BasicSet, FrozenRecord, bit_indices, set_field, submasks
+from .sets import BasicSet, FrozenRecord, bit_indices, submasks
 from .structures import (
     CIStructure,
     ElementaryTriplet,
@@ -51,13 +51,7 @@ class InferenceRule(FrozenRecord):
     id: str
     premises: tuple[Pattern, ...]
     conclusions: tuple[Pattern, ...]
-    bidirectional: bool
-
-    def __init__(self, id, premises, conclusions, bidirectional=False):
-        set_field(self, "id", id)
-        set_field(self, "premises", premises)
-        set_field(self, "conclusions", conclusions)
-        set_field(self, "bidirectional", bidirectional)
+    bidirectional: bool = False
 
 
 # The rule table.  S1 is built into triplet canonicalization and S0 has no
@@ -204,10 +198,6 @@ class GroundRule(FrozenRecord):
 
     premise_bits: int
     conclusion_bits: int
-
-    def __init__(self, premise_bits: int, conclusion_bits: int):
-        set_field(self, "premise_bits", premise_bits)
-        set_field(self, "conclusion_bits", conclusion_bits)
 
 
 def _pattern_bits(patterns: Sequence[Pattern]) -> int:

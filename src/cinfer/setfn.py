@@ -280,15 +280,8 @@ class CheckWitness(FrozenRecord):
     violating triplet of masks and the (negative) offending value."""
 
     ok: bool
-    violating_triplet: tuple[int, int, int] | None
-    value: Value
-
-    def __init__(
-        self, ok: bool, violating_triplet: tuple[int, int, int] | None = None, value: Value = 0
-    ):
-        set_field(self, "ok", ok)
-        set_field(self, "violating_triplet", violating_triplet)
-        set_field(self, "value", value)
+    violating_triplet: tuple[int, int, int] | None = None
+    value: Value = 0
 
 
 def _tol(h: SetFunction) -> Value:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-# Sets a field of a FrozenRecord; only its __init__ does so.
+# Sets a field of a record; only the records' __init__ methods do so.
 set_field = object.__setattr__
 
 
@@ -20,20 +20,45 @@ class Record:
     """Base of the library's record types.
 
     The fields are the names a class annotates, after those of its record
-    bases, and each class writes its own ``__init__``.  Instances are equal
-    when they have the same class and equal fields, and the repr is
-    ``Name(field=value, ...)``.  A plain record is mutable and unhashable.
+    bases; a value given with the annotation is that field's default.  The
+    shared ``__init__`` binds positional and keyword arguments to the fields
+    in declaration order and raises ``TypeError`` for a missing, unknown,
+    repeated or surplus argument.  The records that check or convert their
+    arguments (``BasicSet``, ``SampleSpace``, ``ElementaryTriplet``,
+    ``CIStructure`` and ``SetFunction``) write their own ``__init__``
+    instead.  Instances are equal when they have the same class and equal
+    fields, and the repr is ``Name(field=value, ...)``.  A plain record is
+    mutable and unhashable.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
         if fields:
             get = attrgetter(*fields)
             cls._key = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        positional = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in positional:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        values = {**self._defaults, **positional, **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            set_field(self, field, values[field])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -168,6 +168,30 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_colliding_subset_keys_in_structure_text(self, tmp_path, capsys):
+        # the text form would name the conditioning sets {a, b} and {ab} alike
+        assert main(["structure", self._colliding_labels(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["structure", "--json", self._colliding_labels(tmp_path)]) == 0
+
+    def test_colliding_subset_keys_in_closure_text(self, tmp_path, capsys):
+        # the text form would print (c,d|ab) (c,d|ab)
+        path = tmp_path / "cd.json"
+        path.write_text(json.dumps({
+            "variables": ["a", "b", "ab", "c", "d"],
+            "statements": [{"i": "c", "j": "d", "K": K} for K in (["a", "b"], ["ab"])],
+        }))
+        assert main(["closure", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["closure", "--json", str(path)]) == 0
+        statements = json.loads(capsys.readouterr().out)["statements"]
+        assert {"i": "c", "j": "d", "K": ["a", "b"]} in statements
+        assert {"i": "c", "j": "d", "K": ["ab"]} in statements
+
 
 def _nested(depth: int) -> list:
     value = []

@@ -39,9 +39,9 @@ def _schema(**changes):
     return DerivationSchema(**fields)
 
 
-def _report(cls, **fields):
-    report = cls("EX1", **fields)
-    report.add("claimed-statements", True)
+def _report(cls, *fields):
+    report = cls("EX1", [], *fields)
+    report.add("claimed-statements", True, "")
     return report
 
 
@@ -132,7 +132,7 @@ RECORDS = {
         True,
     ),
     "CatalogEntry": (
-        lambda: CatalogEntry("X"),
+        lambda: CatalogEntry("X", None, None, None, None, None, None, None, None),
         {
             "id": "Y",
             "distribution": catalog.get("EX1").distribution,
@@ -156,7 +156,7 @@ RECORDS = {
         False,
     ),
     "CounterexampleReport": (
-        lambda: _report(CounterexampleReport, ingleton_value=-0.25),
+        lambda: _report(CounterexampleReport, -0.25),
         {"id": "EX2", "checks": [], "ingleton_value": 0.0},
         "CounterexampleReport(id='EX1', checks=[('claimed-statements', True, '')], "
         "ingleton_value=-0.25)",
@@ -171,6 +171,10 @@ RECORDS = {
 }
 FROZEN = [name for name, record in RECORDS.items() if record[3]]
 MUTABLE = [name for name, record in RECORDS.items() if not record[3]]
+# The records that check or convert their arguments write their own
+# __init__; the others take the shared one of sets.Record.
+VALIDATING = ["BasicSet", "SampleSpace", "ElementaryTriplet", "CIStructure", "SetFunction"]
+FIELD_ONLY = [name for name in RECORDS if name not in VALIDATING]
 
 
 def _fields(name):
@@ -218,8 +222,8 @@ def test_changing_one_field_breaks_equality(name, field):
 def test_equality_needs_the_same_class():
     assert BasicSet(("x", "y")) != SampleSpace(("x", "y"), (2, 2))
     assert SampleSpace(("x", "y"), (2, 2)) != BasicSet(("x", "y"))
-    assert VerificationReport("EX1") != CounterexampleReport("EX1")
-    assert CounterexampleReport("EX1") != VerificationReport("EX1")
+    assert VerificationReport("EX1", []) != CounterexampleReport("EX1", [], 0.0)
+    assert CounterexampleReport("EX1", [], 0.0) != VerificationReport("EX1", [])
     assert GroundRule(3, 4) != (3, 4)
     assert ElementaryTriplet(0, 1, 0) != (0, 1, 0)
 
@@ -270,8 +274,8 @@ def test_repr(name):
 
 def test_default_reprs():
     assert repr(CheckWitness(True)) == "CheckWitness(ok=True, violating_triplet=None, value=0)"
-    assert repr(CounterexampleReport("EX5")) == (
-        "CounterexampleReport(id='EX5', checks=[], ingleton_value=0.0)"
+    assert repr(InferenceRule("R", (), ())) == (
+        "InferenceRule(id='R', premises=(), conclusions=(), bidirectional=False)"
     )
 
 
@@ -283,10 +287,38 @@ def test_cached_linear_values_are_not_a_field():
     assert repr(h) == "SetFunction(base=BasicSet(x, y), values=(0, Fraction(1, 2), 1, 1))"
 
 
-def test_default_reports_do_not_share_their_check_lists():
-    a, b = VerificationReport("EX1"), VerificationReport("EX1")
-    a.add("negative", True)
-    assert b.checks == []
+def test_verified_reports_do_not_share_their_check_lists():
+    a, b = catalog.verify(catalog.get("HXY")), catalog.verify(catalog.get("HXY"))
+    a.add("negative", True, "")
+    assert a.checks[:-1] == b.checks and a.checks[-1] not in b.checks
+
+
+def test_only_validating_records_write_an_init():
+    written = [name for name in RECORDS if "__init__" in vars(type(RECORDS[name][0]()))]
+    assert written == VALIDATING and len(FIELD_ONLY) == 10
+
+
+@pytest.mark.parametrize("name", FIELD_ONLY)
+def test_arguments_bind_in_declaration_order(name):
+    record, fields = _fields(name)
+    assert type(record)(*fields.values()) == record
+    first, *rest = fields
+    assert type(record)(fields[first], **{f: fields[f] for f in rest}) == record
+
+
+@pytest.mark.parametrize("name", FIELD_ONLY)
+def test_bad_arguments_raise_type_error(name):
+    record, fields = _fields(name)
+    cls, first = type(record), next(iter(fields))
+    missing = {f: v for f, v in fields.items() if f != first}
+    for args, kwargs in [
+        ((), missing),
+        ((), dict(fields, extra=1)),
+        ((fields[first],), fields),
+        ((*fields.values(), 1), {}),
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 @pytest.mark.parametrize(
