@@ -19,9 +19,9 @@ for k in range(1, 6):
     print(f"counterexample {k}:")
     print(f"  support rows:      {len(entry.distribution.support())}")
     print(f"  CI structure:      {structure.render()}")
-    print(f"  ingleton value:    {report.ingleton_value:.7f}")
+    print(f"  ingleton value:    {report.value:.7f}")
     print(f"  certificate:       {'PASS' if report.ok else 'FAIL'}")
-    for name, ok, _ in report.checks:
+    for name, ok, _ in report.rows:
         print(f"    - {name}: {ok}")
     print()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -34,7 +35,7 @@ from .setfn import (
     is_tight,
     rank_functions_equal_upto_scale,
 )
-from .sets import FrozenRecord, Record
+from .sets import Record, Report
 from .structures import CIStructure
 
 ENTRY_IDS = (
@@ -48,7 +49,7 @@ COUNTEREXAMPLE_IDS = ("EX1", "EX2", "EX3", "EX4", "EX5")
 CONSTRUCTION_IDS = tuple(f"CON{k}" for k in range(1, 10))
 
 
-class CatalogEntry(FrozenRecord):
+class CatalogEntry(Record):
     """One catalog item with whatever data and claims it carries."""
 
     id: str
@@ -114,86 +115,69 @@ def entries() -> list[CatalogEntry]:
     return [get(eid) for eid in ENTRY_IDS]
 
 
-class VerificationReport(Record):
-    """Outcome of re-deriving one entry's claims from its data."""
-
-    id: str
-    checks: list[tuple[str, bool, str]]
-
-    def add(self, name: str, ok: bool, detail: str) -> None:
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, ok, detail in self.checks if not ok]
-
-
-def verify(entry: CatalogEntry) -> VerificationReport:
+def verify(entry: CatalogEntry) -> Report:
     """Re-derive every claim of an entry: induced structure, entropy-rank
     proportionality, orbit size, and the rank-function predicates."""
-    report = VerificationReport(entry.id, [])
+    start, rows = time.perf_counter(), []
     induced = None
     if entry.distribution is not None:
         induced = induced_ci_structure(entry.distribution)
     if entry.claimed_statements is not None and induced is not None:
-        report.add(
+        rows.append((
             "statements",
             induced == entry.claimed_statements,
             f"induced {len(induced)} vs claimed {len(entry.claimed_statements)}",
-        )
+        ))
     if entry.distribution is not None and entry.rank_function is not None:
         h = entropy_function(entry.distribution)
         ok, c = rank_functions_equal_upto_scale(h, entry.rank_function)
-        report.add("proportionality", ok, f"c = {c:.9f}")
+        rows.append(("proportionality", ok, f"c = {c:.9f}"))
         if entry.entropy_scale_ln_of is not None:
-            report.add(
+            rows.append((
                 "scale-constant",
                 abs(c - math.log(entry.entropy_scale_ln_of)) <= FLOAT_TOL,
                 f"c = {c:.9f} vs ln({entry.entropy_scale_ln_of})",
-            )
+            ))
         if entry.claimed_statements is not None:
             rank_structure = induced_ci_structure_of_rank(entry.rank_function)
-            report.add(
+            rows.append((
                 "rank-structure",
                 rank_structure == entry.claimed_statements,
                 "rank function induces a different structure",
-            )
+            ))
     if entry.claimed_orbit_size is not None:
         target = entry.claimed_statements if entry.claimed_statements is not None else induced
         if target is not None:
-            report.add(
+            rows.append((
                 "orbit",
                 len(orbit(target)) == entry.claimed_orbit_size,
                 f"orbit {len(orbit(target))} vs claimed {entry.claimed_orbit_size}",
-            )
+            ))
     if entry.rank_function is not None:
-        report.add("polymatroid", is_polymatroid(entry.rank_function).ok, "not a polymatroid")
+        rows.append(("polymatroid", is_polymatroid(entry.rank_function).ok, "not a polymatroid"))
         if entry.claimed_tight is not None:
-            report.add(
+            rows.append((
                 "tight",
                 is_tight(entry.rank_function) == entry.claimed_tight,
                 f"tightness != {entry.claimed_tight}",
-            )
+            ))
         if entry.claimed_matroid is not None:
-            report.add(
+            rows.append((
                 "matroid",
                 is_matroid(entry.rank_function) == entry.claimed_matroid,
                 f"matroid predicate != {entry.claimed_matroid}",
-            )
+            ))
         if entry.claimed_ingleton is not None:
             value = ingleton_of_singletons(entry.rank_function)
-            report.add(
+            rows.append((
                 "ingleton",
                 value == Fraction(entry.claimed_ingleton),
                 f"ingleton {value} vs claimed {entry.claimed_ingleton}",
-            )
-    return report
+            ))
+    return Report(entry.id, tuple(rows), time.perf_counter() - start, None)
 
 
-def verify_all() -> list[VerificationReport]:
+def verify_all() -> list[Report]:
     return [verify(e) for e in entries()]
 
 

@@ -92,7 +92,6 @@ def cmd_structure(args) -> int:
     if args.json:
         print(json.dumps(s.to_json_dict(), indent=2))
     else:
-        s.base.subset_keys()  # ValueError when two conditioning sets would print alike
         print(s.render())
     return EXIT_OK
 
@@ -113,7 +112,6 @@ def cmd_closure(args) -> int:
     if args.json:
         print(json.dumps(closed.to_json_dict(), indent=2))
     else:
-        closed.base.subset_keys()  # ValueError when two conditioning sets would print alike
         print(closed.render())
     return EXIT_OK
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -41,7 +42,7 @@ from .dist import (
     is_ci,
     marginal,
 )
-from .sets import BasicSet, FrozenRecord, pairwise_disjoint, replace
+from .sets import BasicSet, Record, Report, pairwise_disjoint, replace
 from .setfn import (
     FLOAT_TOL,
     MASK_TERMS,
@@ -61,15 +62,15 @@ MAX_SAMPLES = 100_000
 Pattern = tuple[str, str, str]
 
 
-class ConditionalIngletonRule(FrozenRecord):
+class ConditionalIngletonRule(Record):
     """Premise pair under which the Ingleton expression is non-negative
     for entropy functions."""
 
     id: int
     premises: tuple[Pattern, Pattern]
 
-    def substituted_premises(self, swapped: bool = False) -> tuple[Pattern, Pattern]:
-        """Premises after optionally exchanging [X, Z] <-> [Y, U]."""
+    def substituted_premises(self, swapped: bool) -> tuple[Pattern, Pattern]:
+        """Premises after exchanging [X, Z] <-> [Y, U] when ``swapped``."""
         if not swapped:
             return self.premises
         table = str.maketrans("XYZU", "YXUZ")
@@ -88,7 +89,7 @@ CONDITIONAL_INGLETON_RULES: dict[int, ConditionalIngletonRule] = {
 }
 
 
-class InequalityReport(FrozenRecord):
+class InequalityReport(Record):
     """CI-premise status and Ingleton value of one rule on one distribution."""
 
     rule_id: int
@@ -144,17 +145,12 @@ def ex5_closed_form() -> float:
     return sum(c * math.log(b) for c, b in EX5_CLOSED_FORM_COEFFS)
 
 
-class CounterexampleReport(catalog.VerificationReport):
-    """A verification report that also carries the Ingleton value."""
-
-    ingleton_value: float
-
-
-def verify_counterexample(example_id: int | str) -> CounterexampleReport:
+def verify_counterexample(example_id: int | str) -> Report:
     """Re-derive one counterexample certificate from its catalog density:
     every claimed CI statement holds exactly, and the Ingleton expression
     is strictly negative via the recorded rewriting (for the fifth entry,
     via its closed form in logarithms of primes)."""
+    start = time.perf_counter()
     eid = f"EX{example_id}" if isinstance(example_id, int) else example_id
     if eid not in catalog.COUNTEREXAMPLE_IDS:
         raise ValueError(f"counterexample id must be one of {catalog.COUNTEREXAMPLE_IDS}")
@@ -164,58 +160,56 @@ def verify_counterexample(example_id: int | str) -> CounterexampleReport:
     h = entropy_function(P)
     X, Y, Z, U = (P.space.mask(n) for n in ("x", "y", "z", "u"))
     value = float(ingleton(h, X, Y, Z, U))
-    report = CounterexampleReport(eid, [], value)
-    report.add("claimed-statements", stmts_ok, "a claimed CI statement fails")
+    rows = [("claimed-statements", stmts_ok, "a claimed CI statement fails")]
 
     if eid == "EX5":
         sixteenfold = 16.0 * value
         target = ex5_closed_form()
-        report.add(
+        rows.append((
             "closed-form",
             abs(sixteenfold - target) <= FLOAT_TOL,
             f"16*ingleton = {sixteenfold!r} vs {target!r}",
-        )
-        report.add(
+        ))
+        rows.append((
             "approximation",
             abs(sixteenfold - EX5_APPROX) <= 1e-6,
             f"16*ingleton = {sixteenfold!r} vs {EX5_APPROX}",
-        )
-        report.add(
+        ))
+        rows.append((
             "negative",
             value < -NEGATIVE_MARGIN / 16.0,
             f"ingleton = {value!r} not below {-NEGATIVE_MARGIN / 16.0}",
-        )
-        return report
-
-    for k, neg in _COUNTEREXAMPLE_MASKS[eid]:
-        via_mask = float(mask_form(h, k, X, Y, Z, U))
-        report.add(
-            f"mask-{k}-agrees",
-            abs(via_mask - value) <= FLOAT_TOL,
-            f"rewriting {k} gives {via_mask!r}, direct {value!r}",
-        )
-        positives = [
-            float(delta(h, *substitute_pattern(pat, X, Y, Z, U)))
-            for sign, pat in MASK_TERMS[k]
-            if sign > 0
-        ]
-        report.add(
-            f"mask-{k}-positives-vanish",
-            max(abs(v) for v in positives) <= FLOAT_TOL,
-            f"positive terms {positives}",
-        )
-        neg_value = float(delta(h, *substitute_pattern(neg, X, Y, Z, U)))
-        report.add(
-            f"mask-{k}-negated-term",
-            abs(value + neg_value) <= FLOAT_TOL,
-            f"ingleton {value!r} vs -delta {-neg_value!r}",
-        )
-    report.add(
-        "negative",
-        value < -NEGATIVE_MARGIN,
-        f"ingleton = {value!r} not below {-NEGATIVE_MARGIN}",
-    )
-    return report
+        ))
+    else:
+        for k, neg in _COUNTEREXAMPLE_MASKS[eid]:
+            via_mask = float(mask_form(h, k, X, Y, Z, U))
+            rows.append((
+                f"mask-{k}-agrees",
+                abs(via_mask - value) <= FLOAT_TOL,
+                f"rewriting {k} gives {via_mask!r}, direct {value!r}",
+            ))
+            positives = [
+                float(delta(h, *substitute_pattern(pat, X, Y, Z, U)))
+                for sign, pat in MASK_TERMS[k]
+                if sign > 0
+            ]
+            rows.append((
+                f"mask-{k}-positives-vanish",
+                max(abs(v) for v in positives) <= FLOAT_TOL,
+                f"positive terms {positives}",
+            ))
+            neg_value = float(delta(h, *substitute_pattern(neg, X, Y, Z, U)))
+            rows.append((
+                f"mask-{k}-negated-term",
+                abs(value + neg_value) <= FLOAT_TOL,
+                f"ingleton {value!r} vs -delta {-neg_value!r}",
+            ))
+        rows.append((
+            "negative",
+            value < -NEGATIVE_MARGIN,
+            f"ingleton = {value!r} not below {-NEGATIVE_MARGIN}",
+        ))
+    return Report(eid, tuple(rows), time.perf_counter() - start, value)
 
 
 def check_sixth_failure() -> InequalityReport:
@@ -235,7 +229,7 @@ def check_sixth_failure() -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-class DerivationSchema(FrozenRecord):
+class DerivationSchema(Record):
     """Record of one implication's derivation: rule (possibly swapped),
     rewriting index, the four vanishing premise terms, the two of them
     instantiating the rule, the forced conclusion, and an optional
@@ -425,7 +419,7 @@ def random_premise_enforcing_distribution(
     return conditional_product(Q, R, A, B, C)
 
 
-def sample_conditional_inequality(rule_id: int, samples: int = 200) -> list[InequalityReport]:
+def sample_conditional_inequality(rule_id: int, samples: int) -> list[InequalityReport]:
     """Evaluate one rule on randomly constructed premise-satisfying
     distributions, drawn from a random stream fixed per rule."""
     rng = random.Random(202300 + rule_id)

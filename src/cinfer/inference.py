@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .sets import BasicSet, FrozenRecord, bit_indices, submasks
+from .sets import BasicSet, Record, bit_indices, submasks
 from .structures import (
     CIStructure,
     ElementaryTriplet,
@@ -40,7 +40,7 @@ from .structures import (
 Pattern = tuple[str, str, str]  # (first, second, conditioning) placeholder strings
 
 
-class InferenceRule(FrozenRecord):
+class InferenceRule(Record):
     """Abstract CI property over placeholders X, Y, Z, U.
 
     ``premises`` and ``conclusions`` are triplet patterns; a multi-letter
@@ -193,7 +193,7 @@ RULES: dict[str, InferenceRule] = {
 RULESETS = ("sg", "all")
 
 
-class GroundRule(FrozenRecord):
+class GroundRule(Record):
     """One instance of a rule over concrete variables, as triplet bitsets."""
 
     premise_bits: int
@@ -263,7 +263,7 @@ def _ground_rules_cached(n: int, ruleset: str) -> tuple[GroundRule, ...]:
     return tuple(GroundRule(p, c) for p, c in sorted(pairs))
 
 
-def ground_rules(base: BasicSet, ruleset: str = "all") -> tuple[GroundRule, ...]:
+def ground_rules(base: BasicSet, ruleset: str) -> tuple[GroundRule, ...]:
     """All ground instances over the base, duplicates and no-ops removed.
 
     ``ruleset="sg"`` emits only the semi-graphoid exchange (any base size);
@@ -293,7 +293,7 @@ class _Engine:
         self.rule_mask = (1 << len(self.rules)) - 1
 
 
-def closure_bits(bits: int, n: int = 4, ruleset: str = "all") -> int:
+def closure_bits(bits: int, n: int, ruleset: str) -> int:
     """Least superset of a triplet bitset closed under every ground rule.
 
     Round by round: the rules ready to fire are those blocked by no missing
@@ -324,7 +324,7 @@ def closure_bits(bits: int, n: int = 4, ruleset: str = "all") -> int:
         s = grown
 
 
-def is_closed_bits(bits: int, n: int = 4, ruleset: str = "all") -> bool:
+def is_closed_bits(bits: int, n: int, ruleset: str) -> bool:
     return closure_bits(bits, n, ruleset) == bits
 
 
@@ -460,14 +460,12 @@ def ci_structure_family() -> tuple[int, ...]:
     return _ci_structures()
 
 
-def dump_family(
-    path: str, family: Iterable[int], base: BasicSet | None = None, human: bool = False
-) -> None:
+def dump_family(path: str, family: Iterable[int], base: BasicSet, human: bool) -> None:
     """Write one structure per line as a 6-hex-digit bitmask; with
-    ``human=True`` append the triplet list."""
+    ``human`` true append the triplet list over the base."""
     with open(path, "w") as f:
         for bits in family:
-            if human and base is not None:
+            if human:
                 f.write(f"{bits:06x}  {CIStructure(base, bits).render()}\n")
             else:
                 f.write(f"{bits:06x}\n")

@@ -28,7 +28,7 @@ from typing import Callable
 
 from .sets import (
     BasicSet,
-    FrozenRecord,
+    Record,
     bit_indices,
     check_variable_count,
     pairwise_disjoint,
@@ -50,7 +50,7 @@ def _is_exact(v: Value) -> bool:
     return isinstance(v, Rational)
 
 
-class SetFunction(FrozenRecord):
+class SetFunction(Record):
     """Real-valued function on all subsets of a basic set.
 
     ``values[m]`` is the value at the subset with mask ``m``; the tuple has
@@ -275,7 +275,7 @@ def mask_form(h: SetFunction, k: int, X: int, Y: int, Z: int, U: int) -> Value:
 # ---------------------------------------------------------------------------
 
 
-class CheckWitness(FrozenRecord):
+class CheckWitness(Record):
     """Outcome of a polymatroid check; on failure carries the first
     violating triplet of masks and the (negative) offending value."""
 

@@ -4,7 +4,8 @@ A basic set is an ordered collection of distinct variable labels.  Subsets
 of it are represented throughout the library as integer bitmasks: bit ``i``
 of a mask corresponds to position ``i`` in the label order.  All set
 algebra on masks is plain integer arithmetic (``|``, ``&``, ``~`` against
-the full mask).
+the full mask).  The module also holds the one record base, and the
+``Report`` that every named check returns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    """Base of the library's record types.
+    """Base of the library's record types; every record is frozen.
 
     The fields are the names a class annotates, after those of its record
     bases; a value given with the annotation is that field's default.  The
@@ -26,9 +27,11 @@ class Record:
     repeated or surplus argument.  The records that check or convert their
     arguments (``BasicSet``, ``SampleSpace``, ``ElementaryTriplet``,
     ``CIStructure`` and ``SetFunction``) write their own ``__init__``
-    instead.  Instances are equal when they have the same class and equal
-    fields, and the repr is ``Name(field=value, ...)``.  A plain record is
-    mutable and unhashable.
+    instead.  Fields are set once, through :data:`set_field`; assigning to
+    or deleting one raises ``AttributeError``.  Instances are equal when
+    they have the same class and equal fields, the hash is that of the
+    field tuple, and the repr is ``Name(field=value, ...)``.  The outcome
+    of a named check is a :class:`Report`: name, rows, seconds and value.
     """
 
     __slots__ = ()
@@ -65,17 +68,6 @@ class Record:
             return self._key == other._key
         return NotImplemented
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
-        return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A record whose fields are set once, in ``__init__`` through
-    :data:`set_field`, and whose hash is that of its field tuple."""
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash(self._key)
 
@@ -85,6 +77,32 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Report(Record):
+    """Outcome of one named check: the ``(part, ok, detail)`` row of every
+    claim it tested, the seconds it took, and the number it computed (a
+    counterexample's Ingleton value; None elsewhere)."""
+
+    name: str
+    rows: tuple[tuple[str, bool, str], ...]
+    seconds: float
+    value: float | None
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok, _ in self.rows)
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(detail for _, _, detail in self.rows)
+
+    def failures(self) -> list[str]:
+        return [f"{part}: {detail}" for part, ok, detail in self.rows if not ok]
+
 
 def replace(record: Record, /, **changes) -> Record:
     """A new record of the same class with some fields changed, built
@@ -92,7 +110,7 @@ def replace(record: Record, /, **changes) -> Record:
     return type(record)(**dict(zip(record._fields, record._key), **changes))
 
 
-class BasicSet(FrozenRecord):
+class BasicSet(Record):
     """Ordered, duplicate-free collection of variable labels.
 
     At least two variables are required; a single variable admits no

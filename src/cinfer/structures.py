@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 
 from .sets import (
     BasicSet,
-    FrozenRecord,
+    Record,
     bit_indices,
     check_variable_count,
     pairwise_disjoint,
@@ -35,7 +35,7 @@ from .sets import (
 )
 
 
-class ElementaryTriplet(FrozenRecord):
+class ElementaryTriplet(Record):
     """Canonical elementary CI statement (i, j | K) with i < j.
 
     ``i`` and ``j`` are variable positions, ``K`` a conditioning mask
@@ -84,8 +84,16 @@ class ElementaryTriplet(FrozenRecord):
         return ElementaryTriplet.canonical(perm[self.i], perm[self.j], K)
 
     def render(self, base: BasicSet) -> str:
-        cond = base.label_string(self.K)
-        return f"({base.names[self.i]},{base.names[self.j]}|{cond})"
+        """``(i,j|K)`` in the base's labels; the ValueError of
+        ``base.subset_keys()`` when two conditioning sets would print alike."""
+        return f"({base.names[self.i]},{base.names[self.j]}|{_subset_labels(base)[self.K]})"
+
+
+@lru_cache(maxsize=None)
+def _subset_labels(base: BasicSet) -> tuple[str, ...]:
+    """Each subset's concatenated labels, indexed by its mask: the keys of
+    ``base.subset_keys()``, checked once per base."""
+    return tuple(base.subset_keys())
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +174,7 @@ def relabelings(bits: int, n: int) -> Iterator[int]:
     return map(int.from_bytes, lanes, itertools.repeat("big"))
 
 
-class CIStructure(FrozenRecord):
+class CIStructure(Record):
     """Set of canonical elementary triplets over a basic set, stored as the
     bitmask of their frozen bit positions."""
 
@@ -243,6 +251,9 @@ class CIStructure(FrozenRecord):
         return format(self.bits, f"0{width}x")
 
     def render(self) -> str:
+        """The members' renderings, or ``(empty)``; the ValueError of
+        ``base.subset_keys()`` when two conditioning sets would print alike."""
+        _subset_labels(self.base)
         if not self.bits:
             return "(empty)"
         return " ".join(t.render(self.base) for t in self)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from cinfer import checks
 from cinfer.cli import main
+from cinfer.sets import Report
 
 # The detail line of every verify-paper check, without its time: a change that
 # only speeds the battery up must leave each one byte-identical.
@@ -23,7 +24,7 @@ def _report(number: int, name: str, ok: bool, seconds: float, detail: str) -> No
     print(f"[criterion {number:2d}] {status} {name} ({seconds:.1f}s): {detail}")
 
 
-def run_criterion(number: int, name: str, budget: float) -> checks.CheckResult:
+def run_criterion(number: int, name: str, budget: float) -> Report:
     result = checks.run_check(name)
     _report(number, name, result.ok, result.seconds, result.detail)
     assert result.ok, f"criterion {number} ({name}): {result.detail}"

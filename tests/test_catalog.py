@@ -86,7 +86,7 @@ class TestIrreducibles:
         assert (1 << 24) - 1 in bits
 
     def test_members_are_closed(self):
-        assert all(is_closed_bits(m.to_bits()) for m in catalog.all_irreducibles())
+        assert all(is_closed_bits(m.to_bits(), 4, "all") for m in catalog.all_irreducibles())
 
     def test_submaximal_structures_are_coatoms(self, ci_family):
         # the only closed strict superset of each construction's structure

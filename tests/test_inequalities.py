@@ -81,30 +81,30 @@ class TestCounterexamples:
         for k in range(1, 6):
             report = verify_counterexample(k)
             assert report.ok, (k, report.failures())
-            assert report.ingleton_value < 0
+            assert report.value < 0
 
     def test_first_example_value(self):
         # ingleton = -delta(z,u|) with the (z,u)-marginal (1/4, 1/2, 1/4),
         # giving (5/2) ln 2 - (3/2) ln 3
         report = verify_counterexample(1)
         expected = -(2.5 * math.log(2) - 1.5 * math.log(3))
-        assert report.ingleton_value == pytest.approx(expected, abs=1e-12)
+        assert report.value == pytest.approx(expected, abs=1e-12)
 
     def test_third_example_uses_two_rewritings(self):
         report = verify_counterexample(3)
-        names = [name for name, _, _ in report.checks]
+        names = [name for name, _, _ in report.rows]
         assert "mask-3-agrees" in names and "mask-5-agrees" in names
 
     def test_fifth_example_closed_form(self):
         report = verify_counterexample(5)
-        sixteenfold = 16 * report.ingleton_value
+        sixteenfold = 16 * report.value
         assert sixteenfold == pytest.approx(ex5_closed_form(), abs=1e-9)
         assert sixteenfold == pytest.approx(-0.0876256, abs=1e-6)
 
     def test_margins(self):
         for k in range(1, 5):
-            assert verify_counterexample(k).ingleton_value < -1e-3
-        assert verify_counterexample(5).ingleton_value < -1e-3 / 16
+            assert verify_counterexample(k).value < -1e-3
+        assert verify_counterexample(5).value < -1e-3 / 16
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):

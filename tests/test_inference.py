@@ -184,12 +184,12 @@ class TestClosure:
         rng = random.Random(103)
         for _ in range(10_000):
             seed = rng.getrandbits(24)
-            c = closure_bits(seed)
+            c = closure_bits(seed, 4, "all")
             assert seed & ~c == 0  # extensive
-            assert is_closed_bits(c)  # fixpoint reached
-            assert closure_bits(c) == c  # idempotent
+            assert is_closed_bits(c, 4, "all")  # fixpoint reached
+            assert closure_bits(c, 4, "all") == c  # idempotent
             bigger = seed | rng.getrandbits(24)
-            assert c & ~closure_bits(bigger) == 0  # monotone
+            assert c & ~closure_bits(bigger, 4, "all") == 0  # monotone
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -214,7 +214,7 @@ class TestClosure:
         rng = random.Random(107)
         for _ in range(300):
             seed = rng.getrandbits(24)
-            assert (closure_bits(seed) == seed) == is_closed_bits(seed)
+            assert (closure_bits(seed, 4, "all") == seed) == is_closed_bits(seed, 4, "all")
 
     def test_catalog_structures_are_closed(self, catalog_entries):
         for entry in catalog_entries:
@@ -250,7 +250,7 @@ class TestEngineBound:
         before = [c.cache_info().currsize for c in caches]
         start = time.perf_counter()
         with pytest.raises(ValueError):
-            closure_bits(1, 9)
+            closure_bits(1, 9, "all")
         assert time.perf_counter() - start < 0.5
         assert [c.cache_info().currsize for c in caches] == before
 
@@ -302,7 +302,7 @@ class TestEnumeration:
     def test_dump_format(self, tmp_path):
         path = tmp_path / "sg.txt"
         family = semigraphoid_family()
-        dump_family(str(path), family)
+        dump_family(str(path), family, BASE, False)
         lines = path.read_text().splitlines()
         assert len(lines) == len(family) == 26_424
         assert lines[0] == "000000"

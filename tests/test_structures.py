@@ -121,6 +121,19 @@ class TestCIStructure:
         s = CIStructure.from_statements(BASE, [("y", "x", "z")])
         assert ElementaryTriplet(0, 1, 4) in s
 
+    def test_render(self):
+        s = CIStructure.from_statements(BASE, [("x", "y", ""), ("z", "u", "xy")])
+        assert s.render() == "(x,y|) (z,u|xy)"
+        assert CIStructure(BASE, 0).render() == "(empty)"
+
+    def test_colliding_labels_refuse_to_render(self):
+        # (c,d|{a,b}) and (c,d|{ab}) would both render as (c,d|ab)
+        base = BasicSet(("a", "b", "ab", "c", "d"))
+        s = CIStructure.from_statements(base, [("c", "d", ["a", "b"]), ("c", "d", ["ab"])])
+        for render in (s.render, CIStructure(base, 0).render, lambda: next(iter(s)).render(base)):
+            with pytest.raises(ValueError, match="share the key 'ab'"):
+                render()
+
     def test_meet_requires_same_base(self):
         other = BasicSet(("a", "b", "c", "d"))
         full = (1 << bit_count_for(4)) - 1
