@@ -145,16 +145,55 @@ RECORDS = {
         "value=-0.5)",
     ),
 }
+# The Report each producer builds (checks.run_check, catalog.verify,
+# inequalities.verify_counterexample), keyed by the record type it returned
+# before the three became one Report: build a fresh one, each of that
+# type's fields mapped to the Report field that now holds it with a
+# different valid value, exact repr.
+PRODUCED = {
+    "CheckResult": (
+        lambda: Report("hxy", (("hxy", True, "ingleton=-1"),), 0.25, None),
+        {
+            "name": ("name", "catalog"),
+            "ok": ("rows", (("hxy", False, "ingleton=-1"),)),
+            "detail": ("rows", (("hxy", True, ""),)),
+        },
+        "Report(name='hxy', rows=(('hxy', True, 'ingleton=-1'),), seconds=0.25, value=None)",
+    ),
+    "VerificationReport": (
+        lambda: Report("EX1", (("claimed-statements", True, ""),), 0.25, None),
+        {
+            "id": ("name", "CON1"),
+            "checks": ("rows", (("negative", False, "ingleton = 0.0"),)),
+        },
+        "Report(name='EX1', rows=(('claimed-statements', True, ''),), seconds=0.25, "
+        "value=None)",
+    ),
+    "CounterexampleReport": (
+        lambda: Report("EX1", (("claimed-statements", True, ""),), 0.25, -0.25),
+        {"id": ("name", "EX2"), "checks": ("rows", ())},
+        "Report(name='EX1', rows=(('claimed-statements', True, ''),), seconds=0.25, "
+        "value=-0.25)",
+    ),
+}
+EVERY = {**RECORDS, **PRODUCED}
 # The records that check or convert their arguments write their own
 # __init__; the others take the shared one of sets.Record.
 VALIDATING = ["BasicSet", "SampleSpace", "ElementaryTriplet", "CIStructure", "SetFunction"]
 FIELD_ONLY = [name for name in RECORDS if name not in VALIDATING]
+# (row, label): a field of a record type, or a former field of a produced report
+CHANGES = [(name, label) for name, row in EVERY.items() for label in row[1]]
 
 
 def _fields(name):
-    make, changes, _ = RECORDS[name]
-    record = make()
-    return record, {f: getattr(record, f) for f in changes}
+    record = EVERY[name][0]()
+    return record, {f: getattr(record, f) for f in record._fields}
+
+
+def _change(name, label):
+    """The field to change for ``label`` and its new value."""
+    change = EVERY[name][1][label]
+    return change if name in PRODUCED else (label, change)
 
 
 def _subclasses(cls):
@@ -170,9 +209,9 @@ def test_every_record_class_has_a_row():
     assert len(RECORDS) == 13
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", EVERY)
 def test_equal_instances_compare_equal(name):
-    make = RECORDS[name][0]
+    make = EVERY[name][0]
     a, b = make(), make()
     assert a is not b
     assert a == b and not a != b
@@ -184,16 +223,15 @@ def test_hash_is_the_hash_of_the_field_tuple(name):
     assert hash(record) == hash(RECORDS[name][0]()) == hash(tuple(fields.values()))
 
 
-@pytest.mark.parametrize(
-    "name, field",
-    [(name, field) for name, record in RECORDS.items() for field in record[1]],
-)
-def test_changing_one_field_breaks_equality(name, field):
+@pytest.mark.parametrize("name, label", CHANGES)
+def test_changing_one_field_breaks_equality(name, label):
     record, fields = _fields(name)
-    fields[field] = RECORDS[name][1][field]
+    field, fields[field] = _change(name, label)
     changed = type(record)(**fields)
     assert getattr(changed, field) == fields[field]
     assert changed != record and record != changed
+    if hasattr(record, label):
+        assert getattr(changed, label) != getattr(record, label)
 
 
 def test_equality_needs_the_same_class():
@@ -236,9 +274,9 @@ def test_assignment_raises(name):
     assert {f: getattr(record, f) for f in fields} == fields
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", EVERY)
 def test_repr(name):
-    assert repr(RECORDS[name][0]()) == RECORDS[name][2]
+    assert repr(EVERY[name][0]()) == EVERY[name][2]
 
 
 def test_default_reprs():
@@ -282,7 +320,7 @@ def test_only_validating_records_write_an_init():
     assert written == VALIDATING and len(FIELD_ONLY) == 8
 
 
-@pytest.mark.parametrize("name", FIELD_ONLY)
+@pytest.mark.parametrize("name", FIELD_ONLY + list(PRODUCED))
 def test_arguments_bind_in_declaration_order(name):
     record, fields = _fields(name)
     assert type(record)(*fields.values()) == record
@@ -290,7 +328,7 @@ def test_arguments_bind_in_declaration_order(name):
     assert type(record)(fields[first], **{f: fields[f] for f in rest}) == record
 
 
-@pytest.mark.parametrize("name", FIELD_ONLY)
+@pytest.mark.parametrize("name", FIELD_ONLY + list(PRODUCED))
 def test_bad_arguments_raise_type_error(name):
     record, fields = _fields(name)
     cls, first = type(record), next(iter(fields))
@@ -305,13 +343,10 @@ def test_bad_arguments_raise_type_error(name):
             cls(*args, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "name, field",
-    [(name, field) for name, record in RECORDS.items() for field in record[1]],
-)
-def test_replace_changes_one_field(name, field):
+@pytest.mark.parametrize("name, label", CHANGES)
+def test_replace_changes_one_field(name, label):
     record, fields = _fields(name)
-    value = RECORDS[name][1][field]
+    field, value = _change(name, label)
     changed = replace(record, **{field: value})
     fields[field] = value
     assert type(changed) is type(record)
@@ -319,9 +354,9 @@ def test_replace_changes_one_field(name, field):
     assert {f: getattr(changed, f) for f in fields} == fields
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", EVERY)
 def test_replace_without_changes_copies(name):
-    record = RECORDS[name][0]()
+    record = EVERY[name][0]()
     copy = replace(record)
     assert copy == record and copy is not record
 
