@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="how far below zero a sampled Ingleton value may fall (default 1e-9)",
+        help="how far below zero a sampled Ingleton value may fall "
+        f"(default {inequalities.FLOAT_TOL!r})",
     )
     p.set_defaults(fn=cmd_verify_inequality)
 
@@ -261,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -24,13 +24,11 @@ evaluating the functionals on the indicator basis of set functions.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from . import catalog
 from .dist import (
@@ -42,6 +40,7 @@ from .dist import (
     is_ci,
     marginal,
 )
+from .inference import Pattern, _as_pattern, _derivation_records
 from .sets import BasicSet, Record, Report, pairwise_disjoint, replace
 from .setfn import (
     FLOAT_TOL,
@@ -58,8 +57,6 @@ NEGATIVE_MARGIN = 1e-3
 # `cinfer verify-inequality --samples` accepts at most this many samples:
 # each takes about 0.3 ms and its report is kept until the summary.
 MAX_SAMPLES = 100_000
-
-Pattern = tuple[str, str, str]
 
 
 class ConditionalIngletonRule(Record):
@@ -245,16 +242,9 @@ class DerivationSchema(Record):
     extension: tuple[Pattern, Pattern] | None  # (addend, result)
 
 
-def _as_pattern(raw) -> Pattern:
-    first, second, cond = raw
-    return (str(first), str(second), str(cond))
-
-
 def load_derivation_schemas() -> list[DerivationSchema]:
-    ref = resources.files("cinfer") / "data" / "derivation_schemas.json"
-    data = json.loads(ref.read_text())
     out = []
-    for rec in data["schemas"]:
+    for rec in _derivation_records():
         ext = rec.get("extension")
         out.append(
             DerivationSchema(

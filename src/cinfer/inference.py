@@ -9,7 +9,10 @@ induced by four discrete random variables.  Rules are instantiated to
 emitted in elementary form over all (i, j, k, K), while the equivalences
 and implications take the four placeholders to the 4! orderings of a
 four-variable base (elementary reduction makes singleton instantiation
-sufficient; the brute-force scan of the test oracles confirms it).
+sufficient; the brute-force scan of the test oracles confirms it).  The
+nineteen implications are read from ``data/derivation_schemas.json``, the
+records whose derivations :func:`cinfer.inequalities.verify_derivation`
+checks, so each implication is stated once.
 
 Over four variables the closed structures are listed directly instead of
 being sought among the 2**24 candidates: Close-by-One (Kuznetsov, 1993)
@@ -22,8 +25,10 @@ irreducible members (see :mod:`cinfer.catalog`).
 from __future__ import annotations
 
 import itertools
+import json
 import struct
 from functools import lru_cache, reduce
+from importlib import resources
 from operator import and_, or_
 from typing import Iterable, Sequence
 
@@ -56,7 +61,8 @@ class InferenceRule(Record):
 
 # The rule table.  S1 is built into triplet canonicalization and S0 has no
 # elementary content, so neither produces ground instances; S2 is grounded
-# separately in elementary exchange form.
+# separately in elementary exchange form.  I1-I19 follow from their
+# derivation records, below.
 RULES: dict[str, InferenceRule] = {
     "S0": InferenceRule("S0", (), (("", "Y", "Z"),)),
     "S1": InferenceRule("S1", (("X", "Y", "Z"),), (("Y", "X", "Z"),), True),
@@ -93,102 +99,31 @@ RULES: dict[str, InferenceRule] = {
         (("X", "Y", "U"), ("X", "U", "YZ"), ("Y", "Z", "X"), ("Z", "U", "")),
         True,
     ),
-    "I1": InferenceRule(
-        "I1",
-        (("X", "Y", ""), ("X", "Y", "Z"), ("Z", "U", "X"), ("Z", "U", "Y")),
-        (("Z", "U", ""),),
-    ),
-    "I2": InferenceRule(
-        "I2",
-        (("X", "Y", ""), ("X", "Z", "U"), ("Z", "U", "X"), ("Z", "U", "Y")),
-        (("Z", "XU", ""),),
-    ),
-    "I3": InferenceRule(
-        "I3",
-        (("X", "Y", ""), ("X", "Y", "U"), ("X", "Z", "U"), ("Z", "U", "Y")),
-        (("X", "Z", ""),),
-    ),
-    "I4": InferenceRule(
-        "I4",
-        (("X", "Y", ""), ("X", "Z", "U"), ("X", "U", "Z"), ("Z", "U", "Y")),
-        (("X", "ZU", ""),),
-    ),
-    "I5": InferenceRule(
-        "I5",
-        (("X", "Y", ""), ("X", "Z", "U"), ("Y", "U", "Z"), ("Z", "U", "Y")),
-        (("X", "Z", ""),),
-    ),
-    "I6": InferenceRule(
-        "I6",
-        (("X", "Y", ""), ("X", "Z", "U"), ("Y", "Z", "U"), ("Z", "U", "Y")),
-        (("X", "Z", ""),),
-    ),
-    "I7": InferenceRule(
-        "I7",
-        (("X", "Y", ""), ("X", "Y", "Z"), ("X", "Z", "U"), ("Z", "U", "Y")),
-        (("X", "YZ", ""),),
-    ),
-    "I8": InferenceRule(
-        "I8",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("Y", "U", "Z"), ("Z", "U", "Y")),
-        (("X", "Z", "Y"),),
-    ),
-    "I9": InferenceRule(
-        "I9",
-        (("X", "Y", "Z"), ("X", "Y", "U"), ("X", "Z", "U"), ("Z", "U", "Y")),
-        (("X", "Z", "Y"),),
-    ),
-    "I10": InferenceRule(
-        "I10",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("X", "U", "Z"), ("Z", "U", "Y")),
-        (("X", "Z", "Y"),),
-    ),
-    "I11": InferenceRule(
-        "I11",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("Z", "U", "X"), ("Z", "U", "Y")),
-        (("X", "Z", "Y"),),
-    ),
-    "I12": InferenceRule(
-        "I12",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("Y", "Z", "U"), ("Z", "U", "Y")),
-        (("X", "Z", "Y"),),
-    ),
-    "I13": InferenceRule(
-        "I13",
-        (("X", "Y", ""), ("X", "Y", "Z"), ("X", "Y", "U"), ("Z", "U", "XY")),
-        (("X", "Y", "ZU"),),
-    ),
-    "I14": InferenceRule(
-        "I14",
-        (("X", "Y", "Z"), ("X", "Y", "U"), ("X", "Z", "U"), ("Z", "U", "XY")),
-        (("X", "YZ", "U"),),
-    ),
-    "I15": InferenceRule(
-        "I15",
-        (("X", "Y", ""), ("X", "Y", "Z"), ("X", "Z", "U"), ("Z", "U", "XY")),
-        (("X", "Z", "YU"),),
-    ),
-    "I16": InferenceRule(
-        "I16",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("Y", "U", "Z"), ("Z", "U", "XY")),
-        (("X", "Z", "YU"),),
-    ),
-    "I17": InferenceRule(
-        "I17",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("X", "U", "Z"), ("Z", "U", "XY")),
-        (("X", "Z", "YU"),),
-    ),
-    "I18": InferenceRule(
-        "I18",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("Z", "U", "X"), ("Z", "U", "XY")),
-        (("X", "Z", "YU"),),
-    ),
-    "I19": InferenceRule(
-        "I19",
-        (("X", "Y", "Z"), ("X", "Z", "U"), ("Y", "Z", "U"), ("Z", "U", "XY")),
-        (("Z", "XY", "U"),),
-    ),
 }
+
+
+def _as_pattern(raw) -> Pattern:
+    first, second, cond = raw
+    return (str(first), str(second), str(cond))
+
+
+@lru_cache(maxsize=None)
+def _derivation_records() -> tuple[dict, ...]:
+    """The records of ``data/derivation_schemas.json``, read once per process."""
+    ref = resources.files("cinfer") / "data" / "derivation_schemas.json"
+    return tuple(json.loads(ref.read_text())["schemas"])
+
+
+def _implication(record: dict) -> InferenceRule:
+    """The implication a derivation record proves: its four premises force
+    its strengthened result when it has one, else its conclusion."""
+    extension = record.get("extension")
+    conclusion = extension["result"] if extension else record["conclusion"]
+    premises = tuple(map(_as_pattern, record["premises"]))
+    return InferenceRule(record["id"], premises, (_as_pattern(conclusion),))
+
+
+RULES.update((record["id"], _implication(record)) for record in _derivation_records())
 
 RULESETS = ("sg", "all")
 

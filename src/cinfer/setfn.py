@@ -142,7 +142,7 @@ def _parse_value(s: str | int | float) -> Value:
         s = s.strip()
         try:
             s = Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse set-function value {quoted(s)}") from None
     return s
 

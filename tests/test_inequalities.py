@@ -11,6 +11,7 @@ from cinfer.dist import entropy_function, is_ci
 from cinfer.inequalities import (
     CONDITIONAL_INGLETON_RULES,
     FLOAT_TOL,
+    PREMISE_ENFORCERS,
     check_conditional_ingleton,
     check_sixth_failure,
     ex5_closed_form,
@@ -22,9 +23,9 @@ from cinfer.inequalities import (
     verify_counterexample,
     verify_derivation,
 )
-from cinfer.inference import RULES
-from cinfer.sets import replace
-from cinfer.setfn import ingleton
+from cinfer.sets import BasicSet, replace
+from cinfer.setfn import ingleton, substitute_pattern
+from cinfer.structures import expand_to_elementary
 
 from oracles import fraction_random_distribution
 
@@ -64,6 +65,18 @@ class TestCheckConditionalIngleton:
         P = catalog.get("FULL").distribution
         with pytest.raises(ValueError):
             check_conditional_ingleton(P, 1, {"X": "x", "Y": "x", "Z": "z", "U": "u"})
+
+    @pytest.mark.parametrize("rule_id", range(1, 6))
+    def test_premise_enforcer_holds_both_premises(self, rule_id):
+        # the sampler's conditional product makes A independent of B given
+        # C; the elementary content of that statement contains the
+        # elementary content of both premises at X, Y, Z, U = x, y, z, u
+        base = BasicSet(("x", "y", "z", "u"))
+        enforced = expand_to_elementary(*map(base.mask, PREMISE_ENFORCERS[rule_id]))
+        masks = [base.mask(ASSIGNMENT[k]) for k in "XYZU"]
+        for premise in CONDITIONAL_INGLETON_RULES[rule_id].premises:
+            content = expand_to_elementary(*substitute_pattern(premise, *masks))
+            assert content and content <= enforced, (rule_id, premise)
 
     def test_rule_premise_tables(self):
         assert CONDITIONAL_INGLETON_RULES[1].premises == (("X", "Y", ""), ("X", "Y", "Z"))
@@ -170,17 +183,6 @@ class TestDerivations:
         assert final_conclusion(schemas["I2"]) == ("Z", "XU", "")
         assert final_conclusion(schemas["I19"]) == ("Z", "XY", "U")
         assert final_conclusion(schemas["I1"]) == ("Z", "U", "")
-
-    def test_schemas_agree_with_rule_table(self):
-        # the engine's implication table and the derivation records carry
-        # the same premises and conclusions
-        def canon(p):
-            return (frozenset((frozenset(p[0]), frozenset(p[1]))), frozenset(p[2]))
-
-        for s in load_derivation_schemas():
-            rule = RULES[s.target]
-            assert {canon(p) for p in s.premises} == {canon(p) for p in rule.premises}
-            assert canon(final_conclusion(s)) == canon(rule.conclusions[0])
 
 
 class TestSampling:

@@ -532,6 +532,7 @@ class TestSerialization:
             pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "": False}}, id="value-false"),
             pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "x": math.nan}}, id="nan"),
             pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "xy": "1e999"}}, id="inf"),
+            pytest.param({"base": ["x", "y"], "values": {**XY_VALUES, "x": "1/0"}}, id="zero-denominator"),
             # 2**40 subsets: rejected by its size before any is listed
             pytest.param({"base": [f"v{k}" for k in range(40)], "values": {}}, id="forty"),
         ],
