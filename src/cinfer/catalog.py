@@ -182,19 +182,23 @@ def verify_all() -> list[Report]:
     return [verify(e) for e in entries()]
 
 
+def _irreducible_orbits() -> list[set[int]]:
+    """The orbits of the 14 permutational types of the irreducibles: the
+    nine constructions, EX1..EX4 (EX5's structure is not irreducible) and
+    the full structure."""
+    ids = CONSTRUCTION_IDS + ("EX1", "EX2", "EX3", "EX4", "FULL")
+    return [orbit_bits(get(eid).claimed_statements.bits) for eid in ids]
+
+
 def all_irreducibles() -> list[CIStructure]:
     """The 92 irreducible CI structures over four variables: the orbits of
     the nine sub-maximal structures (31 members), the orbits of the four
     counterexample structures (60 members), and the full structure."""
-    sources = [get(f"CON{k}").claimed_statements for k in range(1, 10)]
-    sources += [get(f"EX{k}").claimed_statements for k in range(1, 5)]
-    sources.append(get("FULL").claimed_statements)
-    bits = set().union(*(orbit_bits(s.bits) for s in sources))
-    return [CIStructure(sources[0].base, b) for b in sorted(bits)]
+    base = get("FULL").claimed_statements.base
+    return [CIStructure(base, b) for b in sorted(set().union(*_irreducible_orbits()))]
 
 
 def irreducible_orbit_sizes() -> list[int]:
     """Orbit sizes of the 14 permutational types, constructions first, then
     counterexamples, then the full structure."""
-    ids = CONSTRUCTION_IDS + ("EX1", "EX2", "EX3", "EX4", "FULL")
-    return [len(orbit_bits(get(eid).claimed_statements.bits)) for eid in ids]
+    return [len(orbit) for orbit in _irreducible_orbits()]

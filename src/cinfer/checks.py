@@ -35,6 +35,7 @@ from .setfn import (
     SetFunction,
     delta,
     ingleton,
+    ingleton_of_singletons,
     is_matroid,
     is_polymatroid,
     is_tight,
@@ -145,7 +146,7 @@ def check_hxy() -> tuple[bool, str]:
     poly = is_polymatroid(h).ok
     tight = is_tight(h)
     matroid = is_matroid(h)
-    value = ingleton(h, 1, 2, 4, 8)
+    value = ingleton_of_singletons(h)
     ok = poly and tight and not matroid and value == Fraction(-1)
     return ok, f"polymatroid={poly}, tight={tight}, matroid={matroid}, ingleton={value}"
 

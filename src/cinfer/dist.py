@@ -17,12 +17,12 @@ one, so integer order is configuration order.  Each distribution caches its
 integer marginals by variable mask; a marginal keeps the parent's layout,
 its keys being ``code & fields[mask]``, so summing and the factorization
 test are AND masks.  Entropy and the induced structure fill all 2**n
-marginals top-down, each summed from the mask one variable up; a one-off
-marginal comes from the smallest cached superset.  A lattice product
-caches its factors' marginals in the same way, in its own layout, and
-pairs them; it never sums its own rows.
-Codes are repacked only where a new sample space is made, and decoded to
-tuples only at the boundary.
+marginals top-down, each summed from the mask one variable up, for at most
+MAX_MARGINAL_FILL rows * 2**n; a one-off marginal comes from the smallest
+cached superset.  A lattice product keeps its factors' rows in its own
+layout and fills its marginals by pairing theirs.  Codes are repacked only
+where a new sample space is made, and decoded to tuples only at the
+boundary.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ import math
 import re
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Sequence
 
-from .sets import BasicSet, Record, check_variable_count, checked_labels, quoted, set_field
+from .sets import BasicSet, Record, check_variable_count, quoted, set_field
 from .setfn import SetFunction
-from .structures import CIStructure, canonical_triplets
+from .structures import CIStructure
 
 MaskLike = int | str | Iterable[str]
 
@@ -47,36 +47,30 @@ MAX_EXPONENT = 100
 _MAX_DENOMINATOR = 10**MAX_EXPONENT
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
 
+# Entropy and the induced structure cache all 2**n marginals, up to rows *
+# 2**n entries of about 120 bytes each when no two rows share a marginal
+# code; at this bound that peaks near 75 MB (512 rows over ten variables).
+MAX_MARGINAL_FILL = 2**19
+
 
 class SampleSpace(BasicSet):
-    """A basic set whose variables carry finite sample-space sizes.
-
-    Unlike a plain basic set, a sample space may consist of a single
-    variable; marginals and conditional-product factors need that.
-    """
+    """A basic set whose variables carry finite sample-space sizes."""
 
     cardinalities: tuple[int, ...]
 
     def __init__(self, names: Iterable[str], cardinalities: Iterable[int]):
-        names = tuple(names)
+        super().__init__(names)
         cards = tuple(cardinalities)
-        if not names:
-            raise ValueError("a sample space needs at least one variable")
-        if len(cards) != len(names):
+        if len(cards) != len(self.names):
             raise ValueError("one cardinality per variable required")
         if any(type(c) is not int or c < 1 for c in cards):
             raise ValueError(f"cardinalities must be positive integers, got {quoted(cards)}")
-        set_field(self, "names", checked_labels(names))
         set_field(self, "cardinalities", cards)
 
     __repr__ = Record.__repr__
 
     def base_set(self) -> BasicSet:
         return BasicSet(self.names)
-
-    def mask(self, names: MaskLike) -> int:
-        """Mask of a label collection, or an integer mask checked for range."""
-        return self.check_mask(names) if isinstance(names, int) else super().mask(names)
 
 
 def _is_int(value) -> bool:
@@ -126,20 +120,8 @@ def _grid(cards: Sequence[int]) -> list[int]:
 @lru_cache(maxsize=4096)
 def _packer(parts: tuple, order: tuple, targets: tuple):
     """Function moving the field of variable order[j] to the place of the
-    field targets[j] (parts as in _layout); fields adjacent on both sides
-    move as one run."""
-    moves = []
-    for k, (t, _) in zip(order, targets):
-        s, m = parts[k]
-        if not m:
-            continue
-        w = m.bit_length()
-        if moves and moves[-1][0] == s + w and moves[-1][2] == t + w:
-            m |= moves.pop()[1] << w
-        moves.append((s, m, t))
-    if len(moves) == 1:
-        ((s, m, t),) = moves
-        return lambda code: (code >> s & m) << t
+    field targets[j] (parts as in _layout)."""
+    moves = [(*parts[k], t) for k, (t, _) in zip(order, targets) if parts[k][1]]
 
     def move(code: int) -> int:
         out = 0
@@ -163,16 +145,6 @@ def _summed(rows: dict, keep: int) -> dict:
         code &= keep
         out[code] = get(code, 0) + w
     return out
-
-
-def _cached(cache: dict, fields: tuple, mask: int) -> dict:
-    """The marginal of mask in a cache of marginals by mask (the full mask
-    always cached), summed if missing from its smallest cached superset, so
-    a query on a wide sparse table touches no intermediate marginal."""
-    if mask not in cache:
-        source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
-        cache[mask] = _summed(cache[source], fields[mask])
-    return cache[mask]
 
 
 def _filled(cache: dict, fields: tuple) -> dict:
@@ -263,8 +235,8 @@ class JointDistribution:
         self._weights: dict[int, int] = {code: weights[code] for code in sorted(weights)}
         # integer marginal weights over _D, by variable mask
         self._marginals = {space.full_mask: self._weights}
-        # a lattice product's factor marginals, caches like _marginals, until
-        # every marginal is cached
+        # a lattice product's factor rows in its own layout, until every
+        # marginal is cached
         self._factors: tuple[dict, dict] | None = None
         self._probs: dict[tuple, Fraction] | None = None
         self._structure: CIStructure | None = None
@@ -309,25 +281,32 @@ class JointDistribution:
         """Marginal weights over the common denominator, keyed by the codes
         masked by the fields of mask.
 
-        Cached.  A lattice product pairs its factors' marginals; any other
-        distribution sums a one-off marginal from the smallest cached
-        superset.  :meth:`_all_marginals` fills the whole lattice when every
-        mask is needed.
+        Cached; a one-off marginal is summed from its smallest cached
+        superset (the full mask is always cached), so a query on a wide
+        sparse table touches no intermediate marginal.
+        :meth:`_all_marginals` fills the whole lattice when every mask is
+        needed.
         """
         cache = self._marginals
         if mask not in cache:
-            if self._factors:
-                cache[mask] = _paired(*(_cached(f, self._fields, mask) for f in self._factors))
-            else:
-                _cached(cache, self._fields, mask)
+            source = min((m for m in cache if m & mask == mask), key=lambda m: len(cache[m]))
+            cache[mask] = _summed(cache[source], self._fields[mask])
         return cache[mask]
 
     def _all_marginals(self) -> dict[int, dict[int, int]]:
         """The marginal weights of every mask: a lattice product pairs its
-        factors' filled marginals, any other distribution fills its own."""
+        factors' filled marginals, any other distribution fills its own.
+        ValueError, before any marginal is summed, when rows * 2**n exceeds
+        MAX_MARGINAL_FILL."""
+        rows, n = len(self._weights), self.space.size
+        if rows << n > MAX_MARGINAL_FILL:
+            raise ValueError(
+                f"{rows} rows over {n} variables need {rows << n:,} marginal entries; "
+                f"at most {MAX_MARGINAL_FILL:,} are supported"
+            )
         cache, fields = self._marginals, self._fields
         if self._factors:
-            q, r = (_filled(f, fields) for f in self._factors)
+            q, r = (_filled({len(fields) - 1: f}, fields) for f in self._factors)
             for mask in range(len(fields)):
                 if mask not in cache:
                     cache[mask] = _paired(q[mask], r[mask])
@@ -438,13 +417,8 @@ def induced_ci_structure(P: JointDistribution) -> CIStructure:
     """Exact CI structure of the distribution: all canonical elementary
     triplets (i, j | K) passing the factorization test."""
     if P._structure is None:
-        base = P.space.base_set()
-        marginal, fields = P._all_marginals().__getitem__, P._fields
-        bits = 0
-        for b, t in enumerate(canonical_triplets(base.size)):
-            if _factorizes(marginal, fields, 1 << t.i, 1 << t.j, t.K):
-                bits |= 1 << b
-        P._structure = CIStructure(base, bits)
+        holds = partial(_factorizes, P._all_marginals().__getitem__, P._fields)
+        P._structure = CIStructure.where(P.space.base_set(), holds)
     return P._structure
 
 
@@ -545,7 +519,7 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     # of all a * b is gcd(a) * gcd(b)), so the product keeps the denominator
     # Q._D * R._D over which the paired factor marginals are read.
     L = JointDistribution._from_weights(space, _paired(q, r), Q._D * R._D)
-    L._factors = {space.full_mask: q}, {space.full_mask: r}
+    L._factors = q, r
     return L
 
 

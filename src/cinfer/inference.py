@@ -56,7 +56,7 @@ class InferenceRule(Record):
     id: str
     premises: tuple[Pattern, ...]
     conclusions: tuple[Pattern, ...]
-    bidirectional: bool = False
+    bidirectional: bool
 
 
 # The rule table.  S1 is built into triplet canonicalization and S0 has no
@@ -64,7 +64,7 @@ class InferenceRule(Record):
 # separately in elementary exchange form.  I1-I19 follow from their
 # derivation records, below.
 RULES: dict[str, InferenceRule] = {
-    "S0": InferenceRule("S0", (), (("", "Y", "Z"),)),
+    "S0": InferenceRule("S0", (), (("", "Y", "Z"),), False),
     "S1": InferenceRule("S1", (("X", "Y", "Z"),), (("Y", "X", "Z"),), True),
     "S2": InferenceRule(
         "S2", (("X", "YZ", "U"),), (("X", "Y", "ZU"), ("X", "Z", "U")), True
@@ -120,7 +120,7 @@ def _implication(record: dict) -> InferenceRule:
     extension = record.get("extension")
     conclusion = extension["result"] if extension else record["conclusion"]
     premises = tuple(map(_as_pattern, record["premises"]))
-    return InferenceRule(record["id"], premises, (_as_pattern(conclusion),))
+    return InferenceRule(record["id"], premises, (_as_pattern(conclusion),), False)
 
 
 RULES.update((record["id"], _implication(record)) for record in _derivation_records())
@@ -259,10 +259,6 @@ def closure_bits(bits: int, n: int, ruleset: str) -> int:
         s = grown
 
 
-def is_closed_bits(bits: int, n: int, ruleset: str) -> bool:
-    return closure_bits(bits, n, ruleset) == bits
-
-
 def closure(s: CIStructure) -> CIStructure:
     """CI closure of a structure: the least superset closed under the rules.
 
@@ -275,9 +271,8 @@ def closure(s: CIStructure) -> CIStructure:
 
 def is_closed(s: CIStructure) -> bool:
     """True when every ground rule with satisfied premises has its
-    conclusions inside the structure."""
-    ruleset = "all" if s.base.size == 4 else "sg"
-    return is_closed_bits(s.bits, s.base.size, ruleset)
+    conclusions inside the structure: the closure adds nothing."""
+    return closure(s) == s
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ class CheckWitness(Record):
     violating triplet of masks and the (negative) offending value."""
 
     ok: bool
-    violating_triplet: tuple[int, int, int] | None = None
-    value: Value = 0
+    violating_triplet: tuple[int, int, int] | None
+    value: Value
 
 
 def _tol(h: SetFunction) -> Value:
@@ -314,7 +314,7 @@ def is_polymatroid(h: SetFunction) -> CheckWitness:
                 d = delta(h, si, sj, K)
                 if d < -eps:
                     return CheckWitness(False, (si, sj, K), d)
-    return CheckWitness(True)
+    return CheckWitness(True, None, 0)
 
 
 def is_matroid(h: SetFunction) -> bool:

@@ -21,7 +21,7 @@ class Record:
     """Base of the library's record types; every record is frozen.
 
     The fields are the names a class annotates, after those of its record
-    bases; a value given with the annotation is that field's default.  The
+    bases; no field has a default, so every caller passes every value.  The
     shared ``__init__`` binds positional and keyword arguments to the fields
     in declaration order and raises ``TypeError`` for a missing, unknown,
     repeated or surplus argument.  The records that check or convert their
@@ -36,13 +36,11 @@ class Record:
 
     __slots__ = ()
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = fields = cls._fields + own
-        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
         if fields:
             get = attrgetter(*fields)
             cls._key = property(get if len(fields) > 1 else lambda self: (get(self),))
@@ -57,7 +55,7 @@ class Record:
                 raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
             if field in positional:
                 raise TypeError(f"{name}() got multiple values for argument {field!r}")
-        values = {**self._defaults, **positional, **kwargs}
+        values = {**positional, **kwargs}
         for field in fields:
             if field not in values:
                 raise TypeError(f"{name}() missing argument {field!r}")
@@ -111,19 +109,23 @@ def replace(record: Record, /, **changes) -> Record:
 
 
 class BasicSet(Record):
-    """Ordered, duplicate-free collection of variable labels.
+    """Ordered, duplicate-free, non-empty collection of variable labels.
 
-    At least two variables are required; a single variable admits no
-    non-trivial independence statement.
+    A single variable is allowed: its structure is empty (it admits no
+    elementary triplet), but its entropy and marginals are defined.
     """
 
     names: tuple[str, ...]
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        if len(names) < 2:
-            raise ValueError("a basic set needs at least 2 variables")
-        set_field(self, "names", checked_labels(names))
+        if not names:
+            raise ValueError("a basic set needs at least one variable")
+        if not all(isinstance(n, str) and n for n in names):
+            raise ValueError("variable labels must be non-empty strings")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable labels in {quoted(names)}")
+        set_field(self, "names", names)
 
     @property
     def size(self) -> int:
@@ -140,10 +142,12 @@ class BasicSet(Record):
         except ValueError:
             raise KeyError(f"unknown variable {quoted(name)}") from None
 
-    def mask(self, names: Iterable[str] | str) -> int:
+    def mask(self, names: int | Iterable[str] | str) -> int:
         """Mask for a collection of labels (a string is split per character
         only when every character is itself a label; otherwise it is treated
-        as a single label)."""
+        as a single label), or an integer mask checked for range."""
+        if isinstance(names, int):
+            return self.check_mask(names)
         if isinstance(names, str):
             if names in self.names:
                 names = [names]
@@ -214,15 +218,6 @@ def check_variable_count(variables: list) -> None:
     """Reject a loaded variable list longer than MAX_VARIABLES."""
     if len(variables) > MAX_VARIABLES:
         raise ValueError(f"at most {MAX_VARIABLES} variables are supported, got {len(variables)}")
-
-
-def checked_labels(names: tuple) -> tuple[str, ...]:
-    """The labels, once checked to be distinct non-empty strings."""
-    if not all(isinstance(n, str) and n for n in names):
-        raise ValueError("variable labels must be non-empty strings")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable labels in {quoted(names)}")
-    return names
 
 
 def bit_indices(mask: int) -> Iterator[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Callable, Iterable, Iterator
 
 from .sets import (
@@ -35,6 +35,7 @@ from .sets import (
 )
 
 
+@total_ordering
 class ElementaryTriplet(Record):
     """Canonical elementary CI statement (i, j | K) with i < j.
 
@@ -59,15 +60,6 @@ class ElementaryTriplet(Record):
 
     def __lt__(self, other):
         return self._key < other._key if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self._key <= other._key if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self._key > other._key if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self._key >= other._key if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def canonical(i: int, j: int, K: int) -> "ElementaryTriplet":

@@ -7,7 +7,7 @@ import pytest
 
 from cinfer import catalog
 from cinfer.dist import entropy_function, induced_ci_structure
-from cinfer.inference import is_closed_bits, meet_closure_bits, orbit
+from cinfer.inference import closure_bits, meet_closure_bits, orbit
 from cinfer.setfn import rank_functions_equal_upto_scale
 
 
@@ -86,7 +86,7 @@ class TestIrreducibles:
         assert (1 << 24) - 1 in bits
 
     def test_members_are_closed(self):
-        assert all(is_closed_bits(m.to_bits(), 4, "all") for m in catalog.all_irreducibles())
+        assert all(closure_bits(m.bits, 4, "all") == m.bits for m in catalog.all_irreducibles())
 
     def test_submaximal_structures_are_coatoms(self, ci_family):
         # the only closed strict superset of each construction's structure

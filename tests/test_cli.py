@@ -1,5 +1,6 @@
 """Command-line interface: verbs, output formats, exit codes."""
 
+import itertools
 import json
 import re
 import time
@@ -247,6 +248,42 @@ class TestErrorMessages:
     def test_unknown_check_is_quoted_once(self, capsys):
         assert main(["verify-paper", "--only", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown check 'nope'; known: ")
+
+
+class TestInputBounds:
+    def test_one_variable_files(self, tmp_path, capsys):
+        bit = tmp_path / "bit.json"
+        bit.write_text(json.dumps({
+            "variables": [{"name": "x", "cardinality": 2}],
+            "density": [{"config": [0], "prob": "1/2"}, {"config": [1], "prob": "1/2"}],
+        }))
+        assert main(["entropy", str(bit)]) == 0
+        assert capsys.readouterr().out == "H({}) = 0.000000000000\nH(x) = 0.693147180560\n"
+        empty = {"variables": ["x"], "statements": []}
+        assert main(["structure", "--json", str(bit)]) == 0
+        assert json.loads(capsys.readouterr().out) == empty
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps(empty))
+        assert main(["closure", "--json", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out) == empty
+
+    def test_oversized_marginal_fill_is_an_input_error(self, tmp_path, capsys):
+        # 513 rows over ten variables: 513 * 2**10 marginal entries, one row
+        # more than the bound allows
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "variables": [{"name": n, "cardinality": 2} for n in "xyzuabcdef"],
+            "density": [
+                {"config": list(cfg), "prob": "1/513"}
+                for cfg in itertools.islice(itertools.product((0, 1), repeat=10), 513)
+            ],
+        }))
+        for argv in (["structure"], ["entropy"], ["ingleton", "--xyzu", "x,y,z,u"]):
+            assert main(argv + [str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: 513 rows over 10 variables") and err.count("\n") == 1
+        # a single CI query fills no lattice
+        assert main(["check-ci", str(path), "x _||_ y | "]) == 1
 
 
 class TestStructure:

@@ -397,6 +397,51 @@ class TestLatticeProduct:
         assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
         assert L._factors is None
 
+    def test_one_off_queries_before_the_fill(self):
+        # one-off marginals of a lattice product are summed from its rows;
+        # the later fill pairs the factors' marginals for the rest
+        Q, R = EX1, catalog.get("EX3").distribution
+        L = lattice_product(Q, R)
+        plain = JointDistribution(L.space, dict(L.items()))
+        for X, Y, Z in [("x", "y", ""), ("x", "y", "zu"), ("z", "u", "x"), ("xy", "zu", "")]:
+            assert is_ci(L, X, Y, Z) == is_ci(plain, X, Y, Z)
+        for A in ("x", "yz", "xzu"):
+            assert marginal(L, A) == marginal(plain, A)
+        assert L._factors is not None
+        assert induced_ci_structure(L) == induced_ci_structure(plain)
+        assert induced_ci_structure(L) == induced_ci_structure(Q) & induced_ci_structure(R)
+        assert L._factors is None
+
+
+class TestOneVariable:
+    def test_fair_bit(self):
+        half = Fraction(1, 2)
+        P = JointDistribution(SampleSpace(("x",), (2,)), {(0,): half, (1,): half})
+        assert entropy_function(P).values == (0.0, math.log(2))
+        assert induced_ci_structure(P).bits == 0
+
+
+class TestMarginalFillBound:
+    NAMES10 = tuple("xyzuabcdef")
+    GRID10 = list(itertools.product((0, 1), repeat=10))
+
+    def _uniform(self, rows):
+        space = SampleSpace(self.NAMES10, (2,) * 10)
+        return JointDistribution(space, {cfg: Fraction(1, rows) for cfg in self.GRID10[:rows]})
+
+    def test_largest_accepted_fill(self):
+        rows = dist.MAX_MARGINAL_FILL >> 10
+        assert len(induced_ci_structure(self._uniform(rows)).base) == 10
+
+    def test_fill_just_over_the_bound_sums_nothing(self, monkeypatch):
+        P = self._uniform((dist.MAX_MARGINAL_FILL >> 10) + 1)
+        summed = []
+        monkeypatch.setattr(dist, "_summed", lambda rows, keep: summed.append(keep))
+        for fill in (induced_ci_structure, entropy_function):
+            with pytest.raises(ValueError, match="at most 524,288 are supported$"):
+                fill(P)
+        assert summed == [] and list(P._marginals) == [P.space.full_mask]
+
 
 class TestDoubleMarkov:
     def test_duplicated_variable_classes(self):

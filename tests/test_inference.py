@@ -18,7 +18,6 @@ from cinfer.inference import (
     dump_family,
     ground_rules,
     is_closed,
-    is_closed_bits,
     meet_closure_bits,
     orbit,
     orbit_bits,
@@ -186,7 +185,6 @@ class TestClosure:
             seed = rng.getrandbits(24)
             c = closure_bits(seed, 4, "all")
             assert seed & ~c == 0  # extensive
-            assert is_closed_bits(c, 4, "all")  # fixpoint reached
             assert closure_bits(c, 4, "all") == c  # idempotent
             bigger = seed | rng.getrandbits(24)
             assert c & ~closure_bits(bigger, 4, "all") == 0  # monotone
@@ -214,7 +212,7 @@ class TestClosure:
         rng = random.Random(107)
         for _ in range(300):
             seed = rng.getrandbits(24)
-            assert (closure_bits(seed, 4, "all") == seed) == is_closed_bits(seed, 4, "all")
+            assert (closure_bits(seed, 4, "all") == seed) == is_closed(CIStructure(BASE, seed))
 
     def test_catalog_structures_are_closed(self, catalog_entries):
         for entry in catalog_entries:
@@ -259,7 +257,7 @@ class TestEnumeration:
     def test_semigraphoid_family_membership(self, sg_family):
         assert len(sg_family) == 26_424
         for bits in sg_family[::500]:
-            assert is_closed_bits(bits, 4, "sg")
+            assert closure_bits(bits, 4, "sg") == bits
         assert 0 in sg_family  # the empty structure
         assert (1 << 24) - 1 in sg_family  # the full structure
 
@@ -268,7 +266,7 @@ class TestEnumeration:
         sg = set(sg_family)
         assert all(b in sg for b in ci_family[::250])
         for bits in ci_family[::250]:
-            assert is_closed_bits(bits, 4, "all")
+            assert closure_bits(bits, 4, "all") == bits
 
     def test_families_match_brute_force_scan(self, sg_family, ci_family):
         # every one of the 2**24 candidates tested against the rule pairs,
@@ -288,8 +286,8 @@ class TestEnumeration:
         ci = set(ci_family)
         for _ in range(2000):
             bits = rng.getrandbits(24)
-            assert (bits in sg) == is_closed_bits(bits, 4, "sg")
-            assert (bits in ci) == is_closed_bits(bits, 4, "all")
+            assert (bits in sg) == (closure_bits(bits, 4, "sg") == bits)
+            assert (bits in ci) == (closure_bits(bits, 4, "all") == bits)
 
     def test_family_is_intersection_closed(self, ci_family):
         rng = random.Random(109)
