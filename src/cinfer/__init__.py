@@ -64,13 +64,13 @@ _HOME = {
             "closure",
             "ground_rules",
             "is_closed",
+            "load_derivation_schemas",
             "orbit",
         ),
         "inequalities": (
             "CONDITIONAL_INGLETON_RULES",
             "check_conditional_ingleton",
             "check_sixth_failure",
-            "load_derivation_schemas",
             "verify_counterexample",
             "verify_derivation",
         ),

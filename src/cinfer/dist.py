@@ -18,7 +18,7 @@ integer marginals by variable mask; a marginal keeps the parent's layout,
 its keys being ``code & fields[mask]``, so summing and the factorization
 test are AND masks.  Entropy and the induced structure fill all 2**n
 marginals top-down, each summed from the mask one variable up, for at most
-MAX_MARGINAL_FILL rows * 2**n; a one-off marginal comes from the smallest
+MAX_MARGINAL_FILL entries in all; a one-off marginal comes from the smallest
 cached superset.  A lattice product keeps its factors' rows in its own
 layout and fills its marginals by pairing theirs.  Codes are repacked only
 where a new sample space is made, and decoded to tuples only at the
@@ -47,9 +47,10 @@ MAX_EXPONENT = 100
 _MAX_DENOMINATOR = 10**MAX_EXPONENT
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
 
-# Entropy and the induced structure cache all 2**n marginals, up to rows *
-# 2**n entries of about 120 bytes each when no two rows share a marginal
-# code; at this bound that peaks near 75 MB (512 rows over ten variables).
+# Entropy and the induced structure cache all 2**n marginals, each of at most
+# min(rows, product of its cardinalities) entries of about 120 bytes; at this
+# bound that peaks near 75 MB (512 rows over ten variables, no two rows
+# sharing a marginal code).
 MAX_MARGINAL_FILL = 2**19
 
 
@@ -296,14 +297,20 @@ class JointDistribution:
     def _all_marginals(self) -> dict[int, dict[int, int]]:
         """The marginal weights of every mask: a lattice product pairs its
         factors' filled marginals, any other distribution fills its own.
-        ValueError, before any marginal is summed, when rows * 2**n exceeds
-        MAX_MARGINAL_FILL."""
-        rows, n = len(self._weights), self.space.size
-        if rows << n > MAX_MARGINAL_FILL:
-            raise ValueError(
-                f"{rows} rows over {n} variables need {rows << n:,} marginal entries; "
-                f"at most {MAX_MARGINAL_FILL:,} are supported"
-            )
+        ValueError, before any marginal is summed, when the marginals may
+        hold more than MAX_MARGINAL_FILL entries, counted only when rows *
+        2**n is over it."""
+        rows, cards = len(self._weights), self.cardinalities
+        if rows << len(cards) > MAX_MARGINAL_FILL:
+            sizes = [1]
+            for c in cards:
+                sizes += [s * c for s in sizes]
+            fill = sum(min(rows, s) for s in sizes)
+            if fill > MAX_MARGINAL_FILL:
+                raise ValueError(
+                    f"{rows} rows over {len(cards)} variables need {fill:,} marginal entries; "
+                    f"at most {MAX_MARGINAL_FILL:,} are supported"
+                )
         cache, fields = self._marginals, self._fields
         if self._factors:
             q, r = (_filled({len(fields) - 1: f}, fields) for f in self._factors)

@@ -17,9 +17,11 @@ either one admits a strictly negative Ingleton value, and the sixth
 premise pair {(X,Z|U), (Y,U|Z)} admits one too.
 
 Each of the nineteen implications is recorded as a schema combining one
-rule with one four-term rewriting of the Ingleton expression;
-``verify_derivation`` re-checks the defining identities symbolically by
-evaluating the functionals on the indicator basis of set functions.
+rule with one four-term rewriting of the Ingleton expression; the records
+are read by :mod:`cinfer.inference`.  ``verify_derivation`` re-checks the
+defining identities symbolically by evaluating the functionals on the
+indicator basis of set functions.  A sampled rule gets one verdict, a
+``Report`` decided at ``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .dist import (
     is_ci,
     marginal,
 )
-from .inference import Pattern, _as_pattern, _derivation_records
+from .inference import DerivationSchema, Pattern, load_derivation_schemas
 from .sets import BasicSet, Record, Report, pairwise_disjoint, replace
 from .setfn import (
     FLOAT_TOL,
@@ -54,8 +56,8 @@ from .setfn import (
 
 NEGATIVE_MARGIN = 1e-3
 
-# `cinfer verify-inequality --samples` accepts at most this many samples:
-# each takes about 0.3 ms and its report is kept until the summary.
+# `cinfer verify-inequality --samples` accepts at most this many samples, a
+# bound on time alone: each takes about 0.3 ms and none is kept.
 MAX_SAMPLES = 100_000
 
 
@@ -65,16 +67,6 @@ class ConditionalIngletonRule(Record):
 
     id: int
     premises: tuple[Pattern, Pattern]
-
-    def substituted_premises(self, swapped: bool) -> tuple[Pattern, Pattern]:
-        """Premises after exchanging [X, Z] <-> [Y, U] when ``swapped``."""
-        if not swapped:
-            return self.premises
-        table = str.maketrans("XYZU", "YXUZ")
-        return tuple(
-            (p[0].translate(table), p[1].translate(table), p[2].translate(table))
-            for p in self.premises
-        )  # type: ignore[return-value]
 
 
 CONDITIONAL_INGLETON_RULES: dict[int, ConditionalIngletonRule] = {
@@ -226,51 +218,18 @@ def check_sixth_failure() -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-class DerivationSchema(Record):
-    """Record of one implication's derivation: rule (possibly swapped),
-    rewriting index, the four vanishing premise terms, the two of them
-    instantiating the rule, the forced conclusion, and an optional
-    strengthening identity delta(conclusion) + delta(addend) = delta(result)."""
-
-    target: str
-    rule: int
-    swapped: bool
-    mask: int
-    premises: tuple[Pattern, ...]
-    rule_premises: tuple[Pattern, Pattern]
-    conclusion: Pattern
-    extension: tuple[Pattern, Pattern] | None  # (addend, result)
-
-
-def load_derivation_schemas() -> list[DerivationSchema]:
-    out = []
-    for rec in _derivation_records():
-        ext = rec.get("extension")
-        out.append(
-            DerivationSchema(
-                target=rec["id"],
-                rule=int(rec["rule"]),
-                swapped=bool(rec["swapped"]),
-                mask=int(rec["mask"]),
-                premises=tuple(_as_pattern(p) for p in rec["premises"]),
-                rule_premises=tuple(_as_pattern(p) for p in rec["rule_premises"]),
-                conclusion=_as_pattern(rec["conclusion"]),
-                extension=(
-                    (_as_pattern(ext["addend"]), _as_pattern(ext["result"]))
-                    if ext
-                    else None
-                ),
-            )
-        )
-    return out
-
-
 _FORMAL_BASE = BasicSet(("X", "Y", "Z", "U"))
 _FORMAL_MASKS = (1, 2, 4, 8)
 
 
-def _canonical_pattern(p: Pattern) -> tuple:
-    return (frozenset((frozenset(p[0]), frozenset(p[1]))), frozenset(p[2]))
+def _statements(patterns, X: int, Y: int, Z: int, U: int) -> set[tuple[int, int, int]]:
+    """The patterns at the masks X, Y, Z, U, each as the masks of its
+    unordered pair, smaller first, and its conditioning mask."""
+    out = set()
+    for pattern in patterns:
+        a, b, c = substitute_pattern(pattern, X, Y, Z, U)
+        out.add((min(a, b), max(a, b), c))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -292,8 +251,9 @@ def verify_derivation(schema: DerivationSchema) -> bool:
     """Check one derivation record symbolically.
 
     (a) the rewriting reproduces the Ingleton expression as a functional;
-    (b) the recorded rule premises match the (possibly swapped) rule and
-        occur among the four premise terms;
+    (b) the recorded rule premises match the rule's premises, read with
+        [X, Z] <-> [Y, U] exchanged when the record is swapped, and occur
+        among the four premise terms;
     (c) vanishing premises force the conclusion: the rewriting's positive
         terms all occur among the premises and its negated term is the
         conclusion;
@@ -314,27 +274,24 @@ def verify_derivation(schema: DerivationSchema) -> bool:
     if not _functionals_equal(lambda h: ingleton(h, X, Y, Z, U), mask_functional):
         return False
 
-    premise_keys = {_canonical_pattern(p) for p in schema.premises}
-    rule = CONDITIONAL_INGLETON_RULES[schema.rule]
-    expected = {
-        _canonical_pattern(p) for p in rule.substituted_premises(schema.swapped)
-    }
-    recorded = {_canonical_pattern(p) for p in schema.rule_premises}
+    premise_keys = _statements(schema.premises, X, Y, Z, U)
+    rule_at = (Y, X, U, Z) if schema.swapped else (X, Y, Z, U)
+    expected = _statements(CONDITIONAL_INGLETON_RULES[schema.rule].premises, *rule_at)
+    recorded = _statements(schema.rule_premises, X, Y, Z, U)
     if recorded != expected or not recorded <= premise_keys:
         return False
 
-    positives = {
-        _canonical_pattern(pat) for sign, pat in MASK_TERMS[schema.mask] if sign > 0
-    }
-    (negative,) = [pat for sign, pat in MASK_TERMS[schema.mask] if sign < 0]
+    terms = MASK_TERMS[schema.mask]
+    positives = _statements([pat for sign, pat in terms if sign > 0], X, Y, Z, U)
+    negative = _statements([pat for sign, pat in terms if sign < 0], X, Y, Z, U)
     if not positives <= premise_keys:
         return False
-    if _canonical_pattern(negative) != _canonical_pattern(schema.conclusion):
+    if negative != _statements([schema.conclusion], X, Y, Z, U):
         return False
 
     if schema.extension is not None:
         addend, result = schema.extension
-        if _canonical_pattern(addend) not in premise_keys:
+        if not _statements([addend], X, Y, Z, U) <= premise_keys:
             return False
         conc = substitute_pattern(schema.conclusion, X, Y, Z, U)
         add = substitute_pattern(addend, X, Y, Z, U)
@@ -352,14 +309,14 @@ def schema_mutations(schema: DerivationSchema) -> list[DerivationSchema]:
     mutated_mask = replace(schema, mask=schema.mask % 5 + 1)
     mutated_rule = replace(schema, rule=schema.rule % 5 + 1)
     # replace the first premise by a triplet pattern absent from the record
-    present = {_canonical_pattern(p) for p in schema.premises}
+    present = _statements(schema.premises, *_FORMAL_MASKS)
     spare = next(
         p
         for p in (
             ("Y", "U", "X"), ("Y", "Z", "X"), ("X", "U", "Y"), ("Y", "U", ""),
             ("X", "U", ""), ("Y", "Z", ""),
         )
-        if _canonical_pattern(p) not in present
+        if not _statements([p], *_FORMAL_MASKS) <= present
     )
     mutated_premise = replace(
         schema, premises=(spare,) + tuple(schema.premises[1:])
@@ -409,13 +366,26 @@ def random_premise_enforcing_distribution(
     return conditional_product(Q, R, A, B, C)
 
 
-def sample_conditional_inequality(rule_id: int, samples: int) -> list[InequalityReport]:
+def sample_conditional_inequality(rule_id: int, samples: int) -> Report:
     """Evaluate one rule on randomly constructed premise-satisfying
-    distributions, drawn from a random stream fixed per rule."""
+    distributions, drawn from a random stream fixed per rule, as one report
+    named ``rule k``.  Its ``premises`` row holds when every sample meets
+    both premises, its ``ingleton`` row when no Ingleton value falls below
+    -FLOAT_TOL, and its value is the least Ingleton value.  The samples are
+    evaluated one at a time and none is kept."""
+    if samples < 1:
+        raise ValueError("a sampled verdict needs at least one sample")
+    start = time.perf_counter()
     rng = random.Random(202300 + rule_id)
     assignment = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
-    out = []
+    premises_hold, low = True, math.inf
     for _ in range(samples):
         P = random_premise_enforcing_distribution(rule_id, rng)
-        out.append(check_conditional_ingleton(P, rule_id, assignment))
-    return out
+        report = check_conditional_ingleton(P, rule_id, assignment)
+        premises_hold &= report.premises_hold
+        low = min(low, report.ingleton_value)
+    rows = (
+        ("premises", premises_hold, "an enforced premise failed"),
+        ("ingleton", low >= -FLOAT_TOL, f"ingleton value {low!r} below tolerance"),
+    )
+    return Report(f"rule {rule_id}", rows, time.perf_counter() - start, low)

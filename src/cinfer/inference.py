@@ -10,9 +10,10 @@ emitted in elementary form over all (i, j, k, K), while the equivalences
 and implications take the four placeholders to the 4! orderings of a
 four-variable base (elementary reduction makes singleton instantiation
 sufficient; the brute-force scan of the test oracles confirms it).  The
-nineteen implications are read from ``data/derivation_schemas.json``, the
-records whose derivations :func:`cinfer.inequalities.verify_derivation`
-checks, so each implication is stated once.
+nineteen implications are built from the :class:`DerivationSchema`
+records of ``data/derivation_schemas.json``, which this module alone parses
+and whose derivations :func:`cinfer.inequalities.verify_derivation` checks,
+so each implication is stated once.
 
 Over four variables the closed structures are listed directly instead of
 being sought among the 2**24 candidates: Close-by-One (Kuznetsov, 1993)
@@ -61,7 +62,7 @@ class InferenceRule(Record):
 
 # The rule table.  S1 is built into triplet canonicalization and S0 has no
 # elementary content, so neither produces ground instances; S2 is grounded
-# separately in elementary exchange form.  I1-I19 follow from their
+# separately in elementary exchange form.  I1-I19 are built from their
 # derivation records, below.
 RULES: dict[str, InferenceRule] = {
     "S0": InferenceRule("S0", (), (("", "Y", "Z"),), False),
@@ -102,28 +103,57 @@ RULES: dict[str, InferenceRule] = {
 }
 
 
-def _as_pattern(raw) -> Pattern:
+class DerivationSchema(Record):
+    """Record of one implication's derivation: rule (possibly swapped),
+    rewriting index, the four vanishing premise terms, the two of them
+    instantiating the rule, the forced conclusion, and an optional
+    strengthening identity delta(conclusion) + delta(addend) = delta(result)."""
+
+    target: str
+    rule: int
+    swapped: bool
+    mask: int
+    premises: tuple[Pattern, ...]
+    rule_premises: tuple[Pattern, Pattern]
+    conclusion: Pattern
+    extension: tuple[Pattern, Pattern] | None  # (addend, result)
+
+    @property
+    def result(self) -> Pattern:
+        """What the four premises force: the strengthened result where the
+        record has one, else the conclusion."""
+        return self.extension[1] if self.extension else self.conclusion
+
+
+def _pattern(raw) -> Pattern:
     first, second, cond = raw
     return (str(first), str(second), str(cond))
 
 
 @lru_cache(maxsize=None)
-def _derivation_records() -> tuple[dict, ...]:
+def _schemas() -> tuple[DerivationSchema, ...]:
     """The records of ``data/derivation_schemas.json``, read once per process."""
     ref = resources.files("cinfer") / "data" / "derivation_schemas.json"
-    return tuple(json.loads(ref.read_text())["schemas"])
+    out = []
+    for rec in json.loads(ref.read_text())["schemas"]:
+        ext = rec.get("extension")
+        out.append(DerivationSchema(
+            rec["id"], int(rec["rule"]), bool(rec["swapped"]), int(rec["mask"]),
+            tuple(map(_pattern, rec["premises"])), tuple(map(_pattern, rec["rule_premises"])),
+            _pattern(rec["conclusion"]),
+            (_pattern(ext["addend"]), _pattern(ext["result"])) if ext else None,
+        ))
+    return tuple(out)
 
 
-def _implication(record: dict) -> InferenceRule:
-    """The implication a derivation record proves: its four premises force
-    its strengthened result when it has one, else its conclusion."""
-    extension = record.get("extension")
-    conclusion = extension["result"] if extension else record["conclusion"]
-    premises = tuple(map(_as_pattern, record["premises"]))
-    return InferenceRule(record["id"], premises, (_as_pattern(conclusion),), False)
+def load_derivation_schemas() -> list[DerivationSchema]:
+    """The nineteen derivation records, I1 to I19."""
+    return list(_schemas())
 
 
-RULES.update((record["id"], _implication(record)) for record in _derivation_records())
+RULES.update(
+    (s.target, InferenceRule(s.target, s.premises, (s.result,), False)) for s in _schemas()
+)
 
 RULESETS = ("sg", "all")
 

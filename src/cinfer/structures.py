@@ -81,7 +81,9 @@ class ElementaryTriplet(Record):
         return f"({base.names[self.i]},{base.names[self.j]}|{_subset_labels(base)[self.K]})"
 
 
-@lru_cache(maxsize=None)
+# Bounded: callers choose the bases.  A ten-variable base's labels take about
+# 64 kB, so a full cache holds about 8 MB.
+@lru_cache(maxsize=128)
 def _subset_labels(base: BasicSet) -> tuple[str, ...]:
     """Each subset's concatenated labels, indexed by its mask: the keys of
     ``base.subset_keys()``, checked once per base."""

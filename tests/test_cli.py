@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from cinfer import catalog, inequalities
 from cinfer.cli import main
+from cinfer.sets import BasicSet, Report
 from cinfer.structures import CIStructure
 
 
@@ -267,23 +269,40 @@ class TestInputBounds:
         assert main(["closure", "--json", str(seed)]) == 0
         assert json.loads(capsys.readouterr().out) == empty
 
-    def test_oversized_marginal_fill_is_an_input_error(self, tmp_path, capsys):
-        # 513 rows over ten variables: 513 * 2**10 marginal entries, one row
-        # more than the bound allows
-        path = tmp_path / "wide.json"
+    @staticmethod
+    def _wide_file(tmp_path, rows, card):
+        """The first rows configurations of ten card-valued variables."""
+        path = tmp_path / f"wide-{rows}x{card}.json"
         path.write_text(json.dumps({
-            "variables": [{"name": n, "cardinality": 2} for n in "xyzuabcdef"],
+            "variables": [{"name": n, "cardinality": card} for n in "xyzuabcdef"],
             "density": [
-                {"config": list(cfg), "prob": "1/513"}
-                for cfg in itertools.islice(itertools.product((0, 1), repeat=10), 513)
+                {"config": list(cfg), "prob": f"1/{rows}"}
+                for cfg in itertools.islice(itertools.product(range(card), repeat=10), rows)
             ],
         }))
+        return str(path)
+
+    def test_oversized_marginal_fill_is_an_input_error(self, tmp_path, capsys):
+        # 725 rows over ten four-valued variables: up to 524,751 marginal
+        # entries, one row more than the bound allows
+        path = self._wide_file(tmp_path, 725, 4)
         for argv in (["structure"], ["entropy"], ["ingleton", "--xyzu", "x,y,z,u"]):
-            assert main(argv + [str(path)]) == 2
+            assert main(argv + [path]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: 513 rows over 10 variables") and err.count("\n") == 1
+            assert err.startswith("error: 725 rows over 10 variables") and err.count("\n") == 1
         # a single CI query fills no lattice
-        assert main(["check-ci", str(path), "x _||_ y | "]) == 1
+        assert main(["check-ci", path, "e _||_ f | "]) == 1
+
+    def test_full_binary_grid_over_ten_variables(self, tmp_path, capsys):
+        # 1,024 rows * 2**10 is over the bound, its 3**10 marginal entries are not
+        path = self._wide_file(tmp_path, 1024, 2)
+        assert main(["entropy", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1024 and lines[-1] == f"H(xyzuabcdef) = {10 * math.log(2):.12f}"
+        # ten independent fair bits: every one of the 11,520 triplets holds
+        assert main(["structure", "--json", path]) == 0
+        full = CIStructure(BasicSet(tuple("xyzuabcdef")), (1 << 11_520) - 1)
+        assert json.loads(capsys.readouterr().out) == full.to_json_dict()
 
 
 class TestStructure:
@@ -321,7 +340,7 @@ class TestEntropyAndIngleton:
 
 class TestClosure:
     def test_single_statement_closure(self, tmp_path, capsys):
-        from cinfer.sets import BasicSet
+        from cinfer.sets import BasicSet, Report
 
         base = BasicSet(("x", "y", "z", "u"))
         seed = CIStructure.from_statements(base, [("x", "y", ""), ("x", "z", "y")])
@@ -332,7 +351,7 @@ class TestClosure:
         assert "(x,z|)" in out and "(x,y|z)" in out
 
     def test_empty_closure(self, tmp_path, capsys):
-        from cinfer.sets import BasicSet
+        from cinfer.sets import BasicSet, Report
 
         base = BasicSet(("x", "y", "z", "u"))
         path = tmp_path / "empty.json"
@@ -391,7 +410,8 @@ class TestVerifyVerbs:
 
         def stand_in(rule, samples):
             calls.append(samples)
-            return [inequalities.InequalityReport(rule, True, 0.0)]
+            rows = (("premises", True, ""), ("ingleton", True, ""))
+            return Report(f"rule {rule}", rows, 0.0, 0.0)
 
         monkeypatch.setattr(inequalities, "sample_conditional_inequality", stand_in)
         assert main(["verify-inequality", "3", "--samples", "100001"]) == 2
@@ -400,17 +420,20 @@ class TestVerifyVerbs:
         assert main(["verify-inequality", "3", "--samples", "100000"]) == 0
         assert calls == [100000]
 
-    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
-    def test_verify_inequality_rejects_a_negative_or_non_finite_tol(self, tol, capsys):
-        assert main(["verify-inequality", "3", "--samples", "5", f"--tol={tol}"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --tol") and err.count("\n") == 1
-
-    def test_tol_belongs_to_verify_inequality(self, capsys):
-        assert main(["verify-inequality", "3", "--samples", "5", "--tol", "1e-6"]) == 0
+    def test_verify_inequality_takes_no_tolerance(self, capsys):
+        # every sampled verdict is decided at FLOAT_TOL
         with pytest.raises(SystemExit) as exc:
-            main(["irreducibles", "--tol", "1e-6"])
+            main(["verify-inequality", "3", "--tol", "1e-6"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_verify_inequality_json(self, capsys):
+        assert main(["verify-inequality", "3", "--samples", "20", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == ["rule", "samples", "min_ingleton", "ok"]
+        assert data["rule"] == 3 and data["samples"] == 20 and data["ok"] is True
+        report = inequalities.sample_conditional_inequality(3, samples=20)
+        assert data["min_ingleton"] == report.value
 
 
 class TestIrreducibles:

@@ -422,23 +422,29 @@ class TestOneVariable:
 
 
 class TestMarginalFillBound:
-    NAMES10 = tuple("xyzuabcdef")
-    GRID10 = list(itertools.product((0, 1), repeat=10))
+    def _uniform(self, rows, card):
+        """The first rows configurations of ten card-valued variables."""
+        space = SampleSpace(tuple("xyzuabcdef"), (card,) * 10)
+        grid = itertools.islice(itertools.product(range(card), repeat=10), rows)
+        return JointDistribution(space, {cfg: Fraction(1, rows) for cfg in grid})
 
-    def _uniform(self, rows):
-        space = SampleSpace(self.NAMES10, (2,) * 10)
-        return JointDistribution(space, {cfg: Fraction(1, rows) for cfg in self.GRID10[:rows]})
-
-    def test_largest_accepted_fill(self):
-        rows = dist.MAX_MARGINAL_FILL >> 10
-        assert len(induced_ci_structure(self._uniform(rows)).base) == 10
+    def test_marginal_entries_are_counted_per_mask(self):
+        # the full binary grid: rows * 2**10 = 2**20 is over the bound, but a
+        # mask of k variables holds at most 2**k entries, 3**10 in all
+        P = self._uniform(1024, 2)
+        assert len(induced_ci_structure(P).base) == 10
+        assert sum(map(len, P._marginals.values())) == 3**10 < dist.MAX_MARGINAL_FILL
 
     def test_fill_just_over_the_bound_sums_nothing(self, monkeypatch):
-        P = self._uniform((dist.MAX_MARGINAL_FILL >> 10) + 1)
+        # ten four-valued variables: the sum over k of C(10,k) * min(rows, 4**k)
+        # is 524,751 entries at 725 rows, one row more than the bound allows
+        P = self._uniform(725, 4)
         summed = []
         monkeypatch.setattr(dist, "_summed", lambda rows, keep: summed.append(keep))
         for fill in (induced_ci_structure, entropy_function):
-            with pytest.raises(ValueError, match="at most 524,288 are supported$"):
+            with pytest.raises(
+                ValueError, match="need 524,751 marginal entries; at most 524,288 are supported$"
+            ):
                 fill(P)
         assert summed == [] and list(P._marginals) == [P.space.full_mask]
 

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from cinfer import catalog
+from cinfer import catalog, inequalities
 from cinfer.dist import entropy_function, is_ci
 from cinfer.inequalities import (
     CONDITIONAL_INGLETON_RULES,
     FLOAT_TOL,
     PREMISE_ENFORCERS,
+    InequalityReport,
     check_conditional_ingleton,
     check_sixth_failure,
     ex5_closed_form,
@@ -22,19 +23,16 @@ from cinfer.inequalities import (
     schema_mutations,
     verify_counterexample,
     verify_derivation,
+    _statements,
 )
-from cinfer.sets import BasicSet, replace
+from cinfer.inference import RULES, InferenceRule
+from cinfer.sets import BasicSet, Report, replace
 from cinfer.setfn import ingleton, substitute_pattern
 from cinfer.structures import expand_to_elementary
 
 from oracles import fraction_random_distribution
 
 ASSIGNMENT = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
-
-
-def final_conclusion(schema):
-    """The strengthened result where a schema has one, else its conclusion."""
-    return schema.extension[1] if schema.extension else schema.conclusion
 
 
 class TestCheckConditionalIngleton:
@@ -81,12 +79,11 @@ class TestCheckConditionalIngleton:
     def test_rule_premise_tables(self):
         assert CONDITIONAL_INGLETON_RULES[1].premises == (("X", "Y", ""), ("X", "Y", "Z"))
         assert CONDITIONAL_INGLETON_RULES[5].premises == (("X", "Z", "U"), ("Y", "Z", "U"))
-        # the swapped second rule reads (X,Y|U), (X,Z|U)
-        swapped = CONDITIONAL_INGLETON_RULES[2].substituted_premises(swapped=True)
-        assert {tuple(sorted(p[:2])) + (p[2],) for p in swapped} == {
-            ("X", "Y", "U"),
-            ("X", "Z", "U"),
-        }
+        # the swapped second rule, (Y,X|U) and (X,Z|U) at X, Y, Z, U = 1, 2, 4, 8,
+        # is the pair (X,Y|U), (X,Z|U) as mask keys
+        swapped = _statements(CONDITIONAL_INGLETON_RULES[2].premises, 2, 1, 8, 4)
+        assert swapped == {(1, 2, 8), (1, 4, 8)}
+        assert swapped == _statements((("X", "Y", "U"), ("X", "Z", "U")), 1, 2, 4, 8)
 
 
 class TestCounterexamples:
@@ -180,9 +177,25 @@ class TestDerivations:
 
     def test_extensions_strengthen_conclusions(self):
         schemas = {s.target: s for s in load_derivation_schemas()}
-        assert final_conclusion(schemas["I2"]) == ("Z", "XU", "")
-        assert final_conclusion(schemas["I19"]) == ("Z", "XY", "U")
-        assert final_conclusion(schemas["I1"]) == ("Z", "U", "")
+        assert schemas["I2"].result == ("Z", "XU", "")
+        assert schemas["I19"].result == ("Z", "XY", "U")
+        assert schemas["I1"].result == schemas["I1"].conclusion == ("Z", "U", "")
+
+    def test_each_implication_is_its_record(self):
+        # I_k of the rule table has its record's four premises and the
+        # strengthened conclusion where the record has one
+        schemas = load_derivation_schemas()
+        assert [r for r in RULES if r.startswith("I")] == [s.target for s in schemas]
+        for s in schemas:
+            final = s.extension[1] if s.extension else s.conclusion
+            assert RULES[s.target] == InferenceRule(s.target, s.premises, (final,), False)
+        assert RULES["I7"].conclusions == (("X", "YZ", ""),)
+        assert RULES["I8"].conclusions == (("X", "Z", "Y"),)
+
+    def test_records_are_read_once(self):
+        assert load_derivation_schemas() == load_derivation_schemas()
+        assert load_derivation_schemas() is not load_derivation_schemas()
+        assert all(a is b for a, b in zip(load_derivation_schemas(), load_derivation_schemas()))
 
 
 class TestSampling:
@@ -191,14 +204,13 @@ class TestSampling:
         b = random_distribution(random.Random(5))
         assert a == b
 
-    @pytest.mark.parametrize("kwargs", [{}])
-    def test_matches_the_fraction_construction(self, kwargs):
+    def test_matches_the_fraction_construction(self):
         # same distribution, same representation, and the same rng state
         # after the call, so every later draw of a sampler is unchanged
         for seed in range(300):
             rng, reference_rng = random.Random(seed), random.Random(seed)
-            P = random_distribution(rng, **kwargs)
-            Q = fraction_random_distribution(reference_rng, **kwargs)
+            P = random_distribution(rng)
+            Q = fraction_random_distribution(reference_rng)
             assert P == Q and P._weights == Q._weights and P._D == Q._D
             assert rng.getstate() == reference_rng.getstate()
 
@@ -209,7 +221,34 @@ class TestSampling:
             assert sum(p for _, p in P.items()) == 1
 
     def test_sample_reports_consistent(self):
+        # one verdict per rule: the report agrees with the same 30 samples
+        # drawn and checked one by one from the rule's random stream
         for rule_id in range(1, 6):
-            reports = sample_conditional_inequality(rule_id, samples=30)
-            assert len(reports) == 30
-            assert all(r.premises_hold and r.ingleton_value >= -FLOAT_TOL for r in reports)
+            report = sample_conditional_inequality(rule_id, samples=30)
+            rng = random.Random(202300 + rule_id)
+            singles = [
+                check_conditional_ingleton(
+                    random_premise_enforcing_distribution(rule_id, rng), rule_id, ASSIGNMENT
+                )
+                for _ in range(30)
+            ]
+            assert type(report) is Report and report.name == f"rule {rule_id}"
+            assert [part for part, _, _ in report.rows] == ["premises", "ingleton"]
+            assert report.ok and all(r.premises_hold for r in singles)
+            assert report.value == min(r.ingleton_value for r in singles) >= -FLOAT_TOL
+
+    def test_sample_verdict_fails_below_the_tolerance(self, monkeypatch):
+        # a stand-in check that reports one value just past -FLOAT_TOL
+        values = iter([0.0, -2 * FLOAT_TOL, 0.0])
+        monkeypatch.setattr(
+            inequalities,
+            "check_conditional_ingleton",
+            lambda P, rule_id, assignment: InequalityReport(rule_id, True, next(values)),
+        )
+        report = sample_conditional_inequality(3, samples=3)
+        assert not report.ok and report.value == -2 * FLOAT_TOL
+        assert report.failures() == [f"ingleton: ingleton value {-2 * FLOAT_TOL!r} below tolerance"]
+
+    def test_a_verdict_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_conditional_inequality(3, samples=0)

@@ -13,11 +13,11 @@ from cinfer.catalog import CatalogEntry
 from cinfer.dist import SampleSpace
 from cinfer.inequalities import (
     ConditionalIngletonRule,
-    DerivationSchema,
     InequalityReport,
+    sample_conditional_inequality,
     verify_counterexample,
 )
-from cinfer.inference import GroundRule, InferenceRule
+from cinfer.inference import DerivationSchema, GroundRule, InferenceRule
 from cinfer.sets import BasicSet, Record, Report, replace
 from cinfer.setfn import CheckWitness, SetFunction
 from cinfer.structures import CIStructure, ElementaryTriplet, canonical_triplets
@@ -306,6 +306,8 @@ def test_every_producer_returns_a_report():
     counterexample = verify_counterexample(1)
     assert type(counterexample) is Report and counterexample.name == "EX1"
     assert counterexample.value < 0 and counterexample.seconds > 0
+    sampled = sample_conditional_inequality(1, samples=3)
+    assert type(sampled) is Report and sampled.name == "rule 1" and len(sampled.rows) == 2
 
 
 def test_only_validating_records_write_an_init():

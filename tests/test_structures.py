@@ -23,6 +23,7 @@ from cinfer.structures import (
     image_words,
     relabelings,
     triplet_index,
+    _subset_labels,
 )
 
 from oracles import naive_image, naive_orbit
@@ -133,6 +134,15 @@ class TestCIStructure:
         for render in (s.render, CIStructure(base, 0).render, lambda: next(iter(s)).render(base)):
             with pytest.raises(ValueError, match="share the key 'ab'"):
                 render()
+
+    def test_label_cache_is_bounded(self):
+        # rendering over more distinct bases than the cache holds keeps it full
+        bound = _subset_labels.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 10):
+            s = CIStructure(BasicSet((f"a{k}", "b", "c")), 1)
+            assert s.render() == f"(a{k},b|)"
+        assert _subset_labels.cache_info().currsize == bound
 
     def test_meet_requires_same_base(self):
         other = BasicSet(("a", "b", "c", "d"))
