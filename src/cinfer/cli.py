@@ -116,6 +116,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.dump_human and not args.dump:
+        raise ValueError("--dump-human needs --dump")
     family = semigraphoid_family() if args.rules == "sg" else ci_structure_family()
     if args.dump:
         dump_family(args.dump, family, BasicSet(("x", "y", "z", "u")), args.dump_human)

@@ -20,9 +20,11 @@ test are AND masks.  Entropy and the induced structure fill all 2**n
 marginals top-down, each summed from the mask one variable up, for at most
 MAX_MARGINAL_FILL entries in all; a one-off marginal comes from the smallest
 cached superset.  A lattice product keeps its factors' rows in its own
-layout and fills its marginals by pairing theirs.  Codes are repacked only
-where a new sample space is made, and decoded to tuples only at the
-boundary.
+layout for its whole life: it fills its marginals by pairing theirs, and
+since it pairs its factors independently, its entropy function is the sum
+of theirs, H_L(A) = H_Q(A) + H_R(A), read off fills of the factor rows
+that are dropped once summed.  Codes are repacked only where a new sample
+space is made, and decoded to tuples only at the boundary.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
 # Entropy and the induced structure cache all 2**n marginals, each of at most
 # min(rows, product of its cardinalities) entries of about 120 bytes; at this
 # bound that peaks near 75 MB (512 rows over ten variables, no two rows
-# sharing a marginal code).
+# sharing a marginal code).  A conditional or lattice product holds at most
+# this many rows.
 MAX_MARGINAL_FILL = 2**19
 
 
@@ -158,6 +161,33 @@ def _filled(cache: dict, fields: tuple) -> dict:
     return cache
 
 
+def _check_fill(rows: int, cards: tuple[int, ...]) -> None:
+    """ValueError when the 2**n marginals of rows configurations over cards
+    may hold more than MAX_MARGINAL_FILL entries: the sum over masks of
+    min(rows, product of the mask's cardinalities), counted only when
+    rows * 2**n is over the bound."""
+    if rows << len(cards) > MAX_MARGINAL_FILL:
+        sizes = [1]
+        for c in cards:
+            sizes += [s * c for s in sizes]
+        fill = sum(min(rows, s) for s in sizes)
+        if fill > MAX_MARGINAL_FILL:
+            raise ValueError(
+                f"{rows} rows over {len(cards)} variables need {fill:,} marginal entries; "
+                f"at most {MAX_MARGINAL_FILL:,} are supported"
+            )
+
+
+def _check_product(kind: str, Q: "JointDistribution", R: "JointDistribution", rows: int) -> None:
+    """ValueError when a product of Q and R would hold more than
+    MAX_MARGINAL_FILL rows."""
+    if rows > MAX_MARGINAL_FILL:
+        raise ValueError(
+            f"a {kind} product of {len(Q._weights):,} and {len(R._weights):,} rows "
+            f"has {rows:,} rows; at most {MAX_MARGINAL_FILL:,} are supported"
+        )
+
+
 def _paired(q: dict, r: dict) -> dict:
     """Weights of a lattice product from the same marginal of its two
     factors (both in the product's layout): all products of their rows.  A
@@ -236,9 +266,9 @@ class JointDistribution:
         self._weights: dict[int, int] = {code: weights[code] for code in sorted(weights)}
         # integer marginal weights over _D, by variable mask
         self._marginals = {space.full_mask: self._weights}
-        # a lattice product's factor rows in its own layout, until every
-        # marginal is cached
-        self._factors: tuple[dict, dict] | None = None
+        # a lattice product's factors: the rows of each in its own layout,
+        # with that factor's denominator
+        self._factors: tuple[tuple[dict, int], tuple[dict, int]] | None = None
         self._probs: dict[tuple, Fraction] | None = None
         self._structure: CIStructure | None = None
 
@@ -296,29 +326,26 @@ class JointDistribution:
 
     def _all_marginals(self) -> dict[int, dict[int, int]]:
         """The marginal weights of every mask: a lattice product pairs its
-        factors' filled marginals, any other distribution fills its own.
-        ValueError, before any marginal is summed, when the marginals may
-        hold more than MAX_MARGINAL_FILL entries, counted only when rows *
-        2**n is over it."""
-        rows, cards = len(self._weights), self.cardinalities
-        if rows << len(cards) > MAX_MARGINAL_FILL:
-            sizes = [1]
-            for c in cards:
-                sizes += [s * c for s in sizes]
-            fill = sum(min(rows, s) for s in sizes)
-            if fill > MAX_MARGINAL_FILL:
-                raise ValueError(
-                    f"{rows} rows over {len(cards)} variables need {fill:,} marginal entries; "
-                    f"at most {MAX_MARGINAL_FILL:,} are supported"
-                )
+        factors' filled marginals for the masks still missing, any other
+        distribution fills its own.  ValueError from :func:`_check_fill`
+        before any marginal is summed."""
         cache, fields = self._marginals, self._fields
-        if self._factors:
-            q, r = (_filled({len(fields) - 1: f}, fields) for f in self._factors)
-            for mask in range(len(fields)):
-                if mask not in cache:
-                    cache[mask] = _paired(q[mask], r[mask])
-            self._factors = None
-        return _filled(cache, fields)
+        if len(cache) < len(fields):
+            _check_fill(len(self._weights), self.cardinalities)
+            if self._factors:
+                q, r = (self._factor_fill(rows) for rows, _ in self._factors)
+                for mask in range(len(fields)):
+                    if mask not in cache:
+                        cache[mask] = _paired(q[mask], r[mask])
+            _filled(cache, fields)
+        return cache
+
+    def _factor_fill(self, rows: dict) -> dict[int, dict[int, int]]:
+        """Every marginal of one factor of a lattice product, from its rows
+        in the product's layout.  The fill is bounded with the product's
+        cardinalities, an upper bound on the factor's."""
+        _check_fill(len(rows), self.cardinalities)
+        return _filled({len(self._fields) - 1: rows}, self._fields)
 
     def marginal_density(self, A: MaskLike) -> dict[tuple, Fraction]:
         """Marginal density keyed by configurations of the variables in A,
@@ -486,6 +513,9 @@ def conditional_product(
     Dq, Dr = Q._D, R._D
     if {c: w * Dr for c, w in mq.items()} != {c: w * Dq for c, w in mr.items()}:
         raise ConsonanceError("factors disagree on the shared marginal")
+    _check_product(
+        "conditional", Q, R, sum(len(r_by_c[code << up & c_fields]) for code in Q._weights)
+    )
 
     # q r / m = wq wr (L / mq(c)) / (Dr L), with L the lcm of the mq(c)
     L = math.lcm(*mq.values())
@@ -505,10 +535,12 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     as q * card_R(i) + r.  The induced CI structure is exactly the
     intersection of the factors' structures.  The result keeps both
     factors' rows in its own layout, so each of its marginals is the
-    product of the factors' marginals over the same mask.
+    product of the factors' marginals over the same mask, and its entropy
+    function is the sum of theirs.
     """
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")
+    _check_product("lattice", Q, R, len(Q._weights) * len(R._weights))
     space = SampleSpace(Q.names, [a * b for a, b in zip(Q.cardinalities, R.cardinalities)])
     parts = _layout(space.cardinalities)[0]
     # a row of Q puts q * card_R in each field and a row of R puts r there;
@@ -526,7 +558,7 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     # of all a * b is gcd(a) * gcd(b)), so the product keeps the denominator
     # Q._D * R._D over which the paired factor marginals are read.
     L = JointDistribution._from_weights(space, _paired(q, r), Q._D * R._D)
-    L._factors = q, r
+    L._factors = (q, Q._D), (r, R._D)
     return L
 
 
@@ -540,18 +572,31 @@ def entropy_function(P: JointDistribution) -> SetFunction:
 
     The value at the empty set is exactly 0; the result is always a
     polymatroid rank function and its vanishing difference expressions
-    match the exact CI structure of P.
+    match the exact CI structure of P.  A lattice product's is the sum of
+    its factors' entropy functions, mask by mask, each read off a fill of
+    that factor's rows that is dropped once summed.
     """
-    D, full, marginals, log = P._D, P.space.full_mask, P._all_marginals(), math.log
-    values = [0.0] * (full + 1)
-    for m in range(1, full + 1):
+    if P._factors:
+        hq, hr = (_entropies(P._factor_fill(rows), D) for rows, D in P._factors)
+        values = [a + b for a, b in zip(hq, hr)]
+    else:
+        values = _entropies(P._all_marginals(), P._D)
+    return SetFunction(P.space.base_set(), tuple(values))
+
+
+def _entropies(marginals: dict, D: int) -> list[float]:
+    """The entropy of the marginal weights over D of every mask, each
+    summed in code order, so equal weights give equal floats."""
+    log = math.log
+    values = [0.0] * len(marginals)
+    for m in range(1, len(marginals)):
         weights = marginals[m]
         h = 0.0
         for code in sorted(weights):
             fp = weights[code] / D
             h -= fp * log(fp)
         values[m] = h
-    return SetFunction(P.space.base_set(), tuple(values))
+    return values
 
 
 class DominanceError(ValueError):

@@ -372,6 +372,25 @@ class TestEnumerate:
         values = [int(line, 16) for line in lines]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_human_dump_lines(self, tmp_path, capsys):
+        path = tmp_path / "sg.txt"
+        assert main(["enumerate", "--rules", "sg", "--dump", str(path), "--dump-human"]) == 0
+        assert capsys.readouterr().out.strip() == "26424"
+        lines = path.read_text().splitlines()
+        plain = tmp_path / "plain.txt"
+        assert main(["enumerate", "--rules", "sg", "--dump", str(plain)]) == 0
+        assert [line[:6] for line in lines] == plain.read_text().splitlines()
+        base = BasicSet(("x", "y", "z", "u"))
+        for line in lines[:50] + lines[-50:]:
+            bits = int(line[:6], 16)
+            assert line == f"{bits:06x}  {CIStructure(base, bits).render()}"
+        assert lines[0] == "000000  (empty)"
+
+    def test_human_dump_needs_a_dump(self, tmp_path, capsys):
+        assert main(["enumerate", "--dump-human"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --dump-human needs --dump\n"
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--threads", "2"])

@@ -395,9 +395,12 @@ class TestLatticeProduct:
         monkeypatch.setattr(dist, "_summed", spy)
         L._all_marginals()
         assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
-        assert L._factors is None
+        # the factors' rows are kept, but a filled lattice sums nothing again
+        sizes.clear()
+        L._all_marginals()
+        assert sizes == []
 
-    def test_one_off_queries_before_the_fill(self):
+    def test_one_off_queries_before_the_fill(self, monkeypatch):
         # one-off marginals of a lattice product are summed from its rows;
         # the later fill pairs the factors' marginals for the rest
         Q, R = EX1, catalog.get("EX3").distribution
@@ -410,7 +413,65 @@ class TestLatticeProduct:
         assert L._factors is not None
         assert induced_ci_structure(L) == induced_ci_structure(plain)
         assert induced_ci_structure(L) == induced_ci_structure(Q) & induced_ci_structure(R)
-        assert L._factors is None
+        assert L._all_marginals() == plain._all_marginals()
+        monkeypatch.setattr(dist, "_summed", None)
+        monkeypatch.setattr(dist, "_paired", None)
+        L._all_marginals()
+
+
+class TestLatticeEntropy:
+    """The entropy function of a lattice product is the sum of its factors'."""
+
+    PAIRS = [("EX1", "EX3"), ("EX5", "CON1"), ("CON6", "CON6"), ("FULL", "EX5")]
+
+    @staticmethod
+    def _random_pairs():
+        rng = random.Random(25)
+        return [(random_distribution(rng), random_distribution(rng)) for _ in range(10)]
+
+    def _pairs(self):
+        named = [tuple(catalog.get(e).distribution for e in p) for p in self.PAIRS]
+        return named + self._random_pairs()
+
+    def test_sum_of_factor_entropies_bit_for_bit(self):
+        for Q, R in self._pairs():
+            hq, hr = entropy_function(Q).values, entropy_function(R).values
+            assert entropy_function(lattice_product(Q, R)).values == tuple(
+                a + b for a, b in zip(hq, hr)
+            )
+
+    def test_matches_summation_oracle_on_the_product_rows(self):
+        for Q, R in self._pairs():
+            L = lattice_product(Q, R)
+            h, rows = entropy_function(L), dict(L.items())
+            for m in range(16):
+                keep = [k for k in range(4) if m >> k & 1]
+                assert float(h.values[m]) == pytest.approx(
+                    entropy_of_subset(rows, L.cardinalities, keep), abs=1e-11
+                )
+
+    def test_product_of_a_product(self):
+        (Q, R), (S, _) = self._random_pairs()[:2]
+        inner = lattice_product(Q, R)
+        L = lattice_product(inner, S)
+        assert len(L._weights) == len(Q._weights) * len(R._weights) * len(S._weights)
+        h, rows = entropy_function(L).values, dict(L.items())
+        # the outer product reads the inner one's rows, not its factors
+        plain = JointDistribution(inner.space, dict(inner.items()))
+        h_inner, hq, hr, hs = (entropy_function(F).values for F in (plain, Q, R, S))
+        assert h == tuple(a + b for a, b in zip(h_inner, hs))
+        for m, value in enumerate(h):
+            assert value == pytest.approx(hq[m] + hr[m] + hs[m], abs=1e-12)
+            keep = [k for k in range(4) if m >> k & 1]
+            assert value == pytest.approx(entropy_of_subset(rows, L.cardinalities, keep), abs=1e-11)
+
+    def test_caches_no_marginal_of_the_product(self):
+        L = lattice_product(EX5, CON1)
+        entropy_function(L)
+        assert list(L._marginals) == [L.space.full_mask]
+        # the induced structure still fills the product's own marginals
+        assert induced_ci_structure(L) == induced_ci_structure(EX5) & induced_ci_structure(CON1)
+        assert len(L._marginals) == 16
 
 
 class TestOneVariable:
@@ -447,6 +508,57 @@ class TestMarginalFillBound:
             ):
                 fill(P)
         assert summed == [] and list(P._marginals) == [P.space.full_mask]
+
+    def test_factor_fill_just_over_the_bound_sums_nothing(self, monkeypatch):
+        # a point mass leaves the 725 rows of the table above as they are;
+        # the product's entropy fills its factors' rows, bounded the same way
+        Q = self._uniform(725, 4)
+        point = JointDistribution(SampleSpace(Q.names, (1,) * 10), {(0,) * 10: 1})
+        L = lattice_product(Q, point)
+        summed = []
+        monkeypatch.setattr(dist, "_summed", lambda rows, keep: summed.append(keep))
+        with pytest.raises(
+            ValueError, match="^725 rows over 10 variables need 524,751 marginal entries; "
+            "at most 524,288 are supported$"
+        ):
+            entropy_function(L)
+        assert summed == [] and list(L._marginals) == [L.space.full_mask]
+
+    @staticmethod
+    def _grid(names, cards):
+        """The uniform distribution on every configuration of cards."""
+        grid = list(itertools.product(*map(range, cards)))
+        return JointDistribution(
+            SampleSpace(names, cards), {cfg: Fraction(1, len(grid)) for cfg in grid}
+        )
+
+    def test_lattice_product_at_the_bound(self):
+        L = lattice_product(self._grid("x", (1024,)), self._grid("x", (512,)))
+        assert len(L._weights) == dist.MAX_MARGINAL_FILL
+
+    def test_lattice_product_over_the_bound_builds_nothing(self, monkeypatch):
+        Q, R = self._grid("x", (1024,)), self._grid("x", (513,))
+        monkeypatch.setattr(dist, "_paired", None)
+        with pytest.raises(
+            ValueError, match="^a lattice product of 1,024 and 513 rows has 525,312 rows; "
+            "at most 524,288 are supported$"
+        ):
+            lattice_product(Q, R)
+
+    def test_conditional_product_at_the_bound(self):
+        # counted per value of the shared variable: 2 * 512 * 512 rows,
+        # although the factors hold 1,024 rows each
+        Q, R = self._grid("ac", (512, 2)), self._grid("bc", (512, 2))
+        glued = conditional_product(Q, R, "a", "b", "c")
+        assert len(glued._weights) == dist.MAX_MARGINAL_FILL
+
+    def test_conditional_product_over_the_bound(self):
+        Q, R = self._grid("ac", (512, 2)), self._grid("bc", (513, 2))
+        with pytest.raises(
+            ValueError, match="^a conditional product of 1,024 and 1,026 rows has 525,312 rows; "
+            "at most 524,288 are supported$"
+        ):
+            conditional_product(Q, R, "a", "b", "c")
 
 
 class TestDoubleMarkov:
@@ -724,9 +836,11 @@ class TestPackedCodes:
                     assert rows.get(cfg[:k] + (v,) + cfg[k + 1:], 0) == 0
 
 
-# sha256 of repr(pinned_outputs()), computed with the tuple-keyed rows that
-# preceded the packed configuration codes
-PINNED_DIGEST = "74edadf15e70590629ce6f9c89a8bb1c9501fca6966e77b84a4d6a4168ad532d"
+# sha256 of repr(pinned_outputs()).  Before a lattice product's entropy was
+# the sum of its factors' the outputs hashed to 74edadf1...532d, and they
+# still do with each product's entropy taken on a plain copy of its rows:
+# only the last bits of the lattice entropies moved.
+PINNED_DIGEST = "38e961e5ca9a40afe9ecd622a97e858826569687140f62b25c591d2fe230569a"
 
 
 def pinned_outputs() -> list:
