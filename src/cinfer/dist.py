@@ -20,11 +20,11 @@ test are AND masks.  Entropy and the induced structure fill all 2**n
 marginals top-down, each summed from the mask one variable up, for at most
 MAX_MARGINAL_FILL entries in all; a one-off marginal comes from the smallest
 cached superset.  A lattice product keeps its factors' rows in its own
-layout for its whole life: it fills its marginals by pairing theirs, and
-since it pairs its factors independently, its entropy function is the sum
-of theirs, H_L(A) = H_Q(A) + H_R(A), read off fills of the factor rows
-that are dropped once summed.  Codes are repacked only where a new sample
-space is made, and decoded to tuples only at the boundary.
+layout for its whole life and no fill of them: its structure is tested on
+a transient fill pairing their marginals, and since it pairs them
+independently, its entropy function is the sum of theirs, H_L(A) =
+H_Q(A) + H_R(A), also read off transient fills.  Codes are repacked only
+where a new sample space is made, and decoded to tuples only at the boundary.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ MAX_EXPONENT = 100
 _MAX_DENOMINATOR = 10**MAX_EXPONENT
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
 
-# Entropy and the induced structure cache all 2**n marginals, each of at most
+# Entropy and the induced structure fill all 2**n marginals, each of at most
 # min(rows, product of its cardinalities) entries of about 120 bytes; at this
 # bound that peaks near 75 MB (512 rows over ten variables, no two rows
-# sharing a marginal code).  A conditional or lattice product holds at most
-# this many rows.
+# sharing a marginal code).  A distribution caches its fill; a lattice
+# product's is transient, freed once its structure is tested.  A conditional
+# or lattice product holds at most this many rows.
 MAX_MARGINAL_FILL = 2**19
 
 
@@ -325,18 +326,17 @@ class JointDistribution:
         return cache[mask]
 
     def _all_marginals(self) -> dict[int, dict[int, int]]:
-        """The marginal weights of every mask: a lattice product pairs its
-        factors' filled marginals for the masks still missing, any other
-        distribution fills its own.  ValueError from :func:`_check_fill`
-        before any marginal is summed."""
+        """The marginal weights of every mask.  A distribution fills and
+        keeps its own; a lattice product returns a transient fill, its
+        cached masks plus its factors' filled marginals paired for every
+        other mask, and keeps none of the pairings.  ValueError from
+        :func:`_check_fill` before any marginal is summed."""
         cache, fields = self._marginals, self._fields
         if len(cache) < len(fields):
             _check_fill(len(self._weights), self.cardinalities)
             if self._factors:
                 q, r = (self._factor_fill(rows) for rows, _ in self._factors)
-                for mask in range(len(fields)):
-                    if mask not in cache:
-                        cache[mask] = _paired(q[mask], r[mask])
+                return {m: cache[m] if m in cache else _paired(q[m], r[m]) for m in q}
             _filled(cache, fields)
         return cache
 
@@ -534,9 +534,9 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     Variable i of the result ranges over pairs (Q-value, R-value), encoded
     as q * card_R(i) + r.  The induced CI structure is exactly the
     intersection of the factors' structures.  The result keeps both
-    factors' rows in its own layout, so each of its marginals is the
-    product of the factors' marginals over the same mask, and its entropy
-    function is the sum of theirs.
+    factors' rows in its own layout, its one copy of them: each of its
+    marginals is the product of theirs over the same mask, paired afresh
+    for each fill, and its entropy function is the sum of theirs.
     """
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")

@@ -282,7 +282,7 @@ class CIStructure(Record):
             raise ValueError(
                 'a CI structure is a JSON object whose "variables" is a list and '
                 'whose "statements" is a list of objects with string "i" and "j" '
-                'and a list "K"'
+                'and a "K" that is a list or string of labels, or absent'
             )
         check_variable_count(data["variables"])
         base = BasicSet(data["variables"])

@@ -395,10 +395,12 @@ class TestLatticeProduct:
         monkeypatch.setattr(dist, "_summed", spy)
         L._all_marginals()
         assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
-        # the factors' rows are kept, but a filled lattice sums nothing again
+        # the fill is transient: a second one pairs the factors' tables again,
+        # still summing nothing larger than a factor
         sizes.clear()
         L._all_marginals()
-        assert sizes == []
+        assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
+        assert list(L._marginals) == [L.space.full_mask]
 
     def test_one_off_queries_before_the_fill(self, monkeypatch):
         # one-off marginals of a lattice product are summed from its rows;
@@ -414,9 +416,10 @@ class TestLatticeProduct:
         assert induced_ci_structure(L) == induced_ci_structure(plain)
         assert induced_ci_structure(L) == induced_ci_structure(Q) & induced_ci_structure(R)
         assert L._all_marginals() == plain._all_marginals()
+        # the structure is cached, so asking again sums and pairs nothing
         monkeypatch.setattr(dist, "_summed", None)
         monkeypatch.setattr(dist, "_paired", None)
-        L._all_marginals()
+        assert induced_ci_structure(L) == induced_ci_structure(plain)
 
 
 class TestLatticeEntropy:
@@ -429,9 +432,10 @@ class TestLatticeEntropy:
         rng = random.Random(25)
         return [(random_distribution(rng), random_distribution(rng)) for _ in range(10)]
 
-    def _pairs(self):
-        named = [tuple(catalog.get(e).distribution for e in p) for p in self.PAIRS]
-        return named + self._random_pairs()
+    @classmethod
+    def _pairs(cls):
+        named = [tuple(catalog.get(e).distribution for e in p) for p in cls.PAIRS]
+        return named + cls._random_pairs()
 
     def test_sum_of_factor_entropies_bit_for_bit(self):
         for Q, R in self._pairs():
@@ -469,9 +473,58 @@ class TestLatticeEntropy:
         L = lattice_product(EX5, CON1)
         entropy_function(L)
         assert list(L._marginals) == [L.space.full_mask]
-        # the induced structure still fills the product's own marginals
+        # the induced structure is tested on the product's own paired
+        # marginals, which it does not keep either
         assert induced_ci_structure(L) == induced_ci_structure(EX5) & induced_ci_structure(CON1)
-        assert len(L._marginals) == 16
+        assert list(L._marginals) == [L.space.full_mask]
+
+
+class TestLatticeFill:
+    """A lattice product's paired marginals are a transient fill: its
+    factors' rows are its one kept copy."""
+
+    @staticmethod
+    def _plain(L):
+        return JointDistribution(L.space, dict(L.items()))
+
+    def test_keeps_only_its_rows_in_either_order(self):
+        for Q, R in TestLatticeEntropy._pairs():
+            for first, second in (
+                (induced_ci_structure, entropy_function),
+                (entropy_function, induced_ci_structure),
+            ):
+                L = lattice_product(Q, R)
+                first(L)
+                second(L)
+                assert sum(map(len, L._marginals.values())) == len(L._weights)
+                assert induced_ci_structure(L) == induced_ci_structure(self._plain(L))
+
+    def test_cached_one_off_marginals_are_not_paired_again(self, monkeypatch):
+        L = lattice_product(EX1, catalog.get("EX3").distribution)
+        for A in ("x", "yz", "xzu"):
+            marginal(L, A)
+        cached = dict(L._marginals)
+        assert len(cached) == 4
+        pairs, paired = [], dist._paired
+
+        def spy(q, r):
+            pairs.append(None)
+            return paired(q, r)
+
+        monkeypatch.setattr(dist, "_paired", spy)
+        fill = L._all_marginals()
+        assert len(pairs) == 16 - len(cached)
+        assert all(fill[m] is weights for m, weights in cached.items())
+        assert induced_ci_structure(L) == induced_ci_structure(self._plain(L))
+        assert L._marginals == cached
+
+    def test_product_of_a_product(self):
+        (Q, R), (S, _) = TestLatticeEntropy._random_pairs()[:2]
+        L = lattice_product(lattice_product(Q, R), S)
+        assert induced_ci_structure(L) == induced_ci_structure(self._plain(L))
+        assert induced_ci_structure(L) == (
+            induced_ci_structure(Q) & induced_ci_structure(R) & induced_ci_structure(S)
+        )
 
 
 class TestOneVariable:

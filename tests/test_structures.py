@@ -118,6 +118,18 @@ class TestCIStructure:
         assert data["variables"] == ["x", "y", "z", "u"]
         assert {"i": "x", "j": "y", "K": ["z", "u"]} in data["statements"]
 
+    def test_json_k_as_a_string_or_absent(self):
+        data = {
+            "variables": list(BASE.names),
+            "statements": [{"i": "x", "j": "y", "K": "zu"}, {"i": "x", "j": "y"}],
+        }
+        assert CIStructure.from_json_dict(data).render() == "(x,y|) (x,y|zu)"
+
+    def test_json_shape_error_names_what_k_may_be(self):
+        data = {"variables": list(BASE.names), "statements": [{"i": "x", "j": "y", "K": 1}]}
+        with pytest.raises(ValueError, match="a list or string of labels, or absent$"):
+            CIStructure.from_json_dict(data)
+
     def test_symmetric_statement_normalized(self):
         s = CIStructure.from_statements(BASE, [("y", "x", "z")])
         assert ElementaryTriplet(0, 1, 4) in s
