@@ -20,11 +20,12 @@ test are AND masks.  Entropy and the induced structure fill all 2**n
 marginals top-down, each summed from the mask one variable up, for at most
 MAX_MARGINAL_FILL entries in all; a one-off marginal comes from the smallest
 cached superset.  A lattice product keeps its factors' rows in its own
-layout for its whole life and no fill of them: its structure is tested on
-a transient fill pairing their marginals, and since it pairs them
-independently, its entropy function is the sum of theirs, H_L(A) =
-H_Q(A) + H_R(A), also read off transient fills.  Codes are repacked only
-where a new sample space is made, and decoded to tuples only at the boundary.
+layout and builds its own rows only when they are read.  Each of its
+marginal weights at a code a + b is the product of its factors' at a and
+at b, so its structure is tested on their transient fills, pair by pair,
+and, since it pairs them independently, its entropy function is the sum of
+theirs, H_L(A) = H_Q(A) + H_R(A).  Codes are repacked only where a new
+sample space is made, and decoded to tuples only at the boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import re
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Mapping, Sequence
 
 from .sets import BasicSet, Record, check_variable_count, quoted, set_field
@@ -52,9 +53,11 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
 # Entropy and the induced structure fill all 2**n marginals, each of at most
 # min(rows, product of its cardinalities) entries of about 120 bytes; at this
 # bound that peaks near 75 MB (512 rows over ten variables, no two rows
-# sharing a marginal code).  A distribution caches its fill; a lattice
-# product's is transient, freed once its structure is tested.  A conditional
-# or lattice product holds at most this many rows.
+# sharing a marginal code).  A distribution caches its fill.  A lattice
+# product fills each factor's rows instead, under the same bound, and frees
+# the fill once its structure is tested or its entropy summed; what it
+# builds is those fills plus, once read, its own rows.  A conditional or
+# lattice product holds at most this many rows.
 MAX_MARGINAL_FILL = 2**19
 
 
@@ -190,10 +193,10 @@ def _check_product(kind: str, Q: "JointDistribution", R: "JointDistribution", ro
 
 
 def _paired(q: dict, r: dict) -> dict:
-    """Weights of a lattice product from the same marginal of its two
-    factors (both in the product's layout): all products of their rows.  A
-    field of a product code is q * card_R + r with r < card_R, so masking a
-    sum masks each part, and distinct pairs of parts have distinct sums."""
+    """Rows of a lattice product from its two factors' rows (both in the
+    product's layout): all products of their weights.  A field of a product
+    code is q * card_R + r with r < card_R, so masking a sum masks each
+    part, and distinct pairs of parts have distinct sums."""
     pairs = r.items()
     return {a + b: wa * wb for a, wa in q.items() for b, wb in pairs}
 
@@ -214,6 +217,11 @@ class JointDistribution:
     weights over one common denominator, keyed by configuration codes (see
     the module docstring).
     """
+
+    # unset until known: a lattice product's factors, ((rows, D) of each,
+    # its rows in the product's layout), the rows as Fractions by
+    # configuration, and the induced CI structure
+    _factors = _probs = _structure = None
 
     def __init__(self, space: SampleSpace, density: Mapping[tuple, object]):
         parts = _layout(space.cardinalities)[0]
@@ -264,14 +272,20 @@ class JointDistribution:
         self.space = space
         self._parts, self._fields = _layout(space.cardinalities)
         self._D = D // g
-        self._weights: dict[int, int] = {code: weights[code] for code in sorted(weights)}
-        # integer marginal weights over _D, by variable mask
+        self._weights = {code: weights[code] for code in sorted(weights)}
         self._marginals = {space.full_mask: self._weights}
-        # a lattice product's factors: the rows of each in its own layout,
-        # with that factor's denominator
-        self._factors: tuple[tuple[dict, int], tuple[dict, int]] | None = None
-        self._probs: dict[tuple, Fraction] | None = None
-        self._structure: CIStructure | None = None
+
+    @cached_property
+    def _weights(self) -> dict[int, int]:
+        """A lattice product's rows, paired on first read (_assign sets
+        every other distribution's)."""
+        (q, _), (r, _) = self._factors
+        return dict(sorted(_paired(q, r).items()))
+
+    @cached_property
+    def _marginals(self) -> dict[int, dict[int, int]]:
+        """Integer marginal weights over _D, by variable mask."""
+        return {self.space.full_mask: self._weights}
 
     # -- basic access --------------------------------------------------------
 
@@ -305,7 +319,10 @@ class JointDistribution:
         )
 
     def __repr__(self) -> str:
-        return f"JointDistribution({'/'.join(self.names)}, {len(self._weights)} rows)"
+        # every pair of a lattice product's factor rows is one of its rows
+        f = self._factors
+        rows = len(f[0][0]) * len(f[1][0]) if f else len(self._weights)
+        return f"JointDistribution({'/'.join(self.names)}, {rows} rows)"
 
     # -- marginal densities ----------------------------------------------------
 
@@ -326,17 +343,11 @@ class JointDistribution:
         return cache[mask]
 
     def _all_marginals(self) -> dict[int, dict[int, int]]:
-        """The marginal weights of every mask.  A distribution fills and
-        keeps its own; a lattice product returns a transient fill, its
-        cached masks plus its factors' filled marginals paired for every
-        other mask, and keeps none of the pairings.  ValueError from
-        :func:`_check_fill` before any marginal is summed."""
+        """The marginal weights of every mask, filled and kept.  ValueError
+        from :func:`_check_fill` before any marginal is summed."""
         cache, fields = self._marginals, self._fields
         if len(cache) < len(fields):
             _check_fill(len(self._weights), self.cardinalities)
-            if self._factors:
-                q, r = (self._factor_fill(rows) for rows, _ in self._factors)
-                return {m: cache[m] if m in cache else _paired(q[m], r[m]) for m in q}
             _filled(cache, fields)
         return cache
 
@@ -447,11 +458,32 @@ def _factorizes(marginal, fields, X: int, Y: int, Z: int) -> bool:
     return True
 
 
+def _pairs_factorize(q, r, fields, X: int, Y: int, Z: int) -> bool:
+    """:func:`_factorizes` on a lattice product at every pair (a, b) of its
+    factors' XYZ-support codes: with q and r their fills, its weight at
+    a + b over any mask M is q[M][a] * r[M][b]."""
+    xz, yz = X | Z, Y | Z
+    f_xz, f_yz, f_z = fields[xz], fields[yz], fields[Z]
+    qxz, qyz, qz, rxz, ryz, rz = q[xz], q[yz], q[Z], r[xz], r[yz], r[Z]
+    r_xyz = r[xz | Y].items()
+    for a, wa in q[xz | Y].items():
+        left, right = wa * qz[a & f_z], qxz[a & f_xz] * qyz[a & f_yz]
+        for b, wb in r_xyz:
+            if left * (wb * rz[b & f_z]) != right * (rxz[b & f_xz] * ryz[b & f_yz]):
+                return False
+    return True
+
+
 def induced_ci_structure(P: JointDistribution) -> CIStructure:
     """Exact CI structure of the distribution: all canonical elementary
-    triplets (i, j | K) passing the factorization test."""
+    triplets (i, j | K) passing the factorization test, read for a lattice
+    product off its factors' fills (not its rows, not their structures)."""
     if P._structure is None:
-        holds = partial(_factorizes, P._all_marginals().__getitem__, P._fields)
+        if P._factors:
+            fills = [P._factor_fill(rows) for rows, _ in P._factors]
+            holds = partial(_pairs_factorize, *fills, P._fields)
+        else:
+            holds = partial(_factorizes, P._all_marginals().__getitem__, P._fields)
         P._structure = CIStructure.where(P.space.base_set(), holds)
     return P._structure
 
@@ -534,9 +566,8 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     Variable i of the result ranges over pairs (Q-value, R-value), encoded
     as q * card_R(i) + r.  The induced CI structure is exactly the
     intersection of the factors' structures.  The result keeps both
-    factors' rows in its own layout, its one copy of them: each of its
-    marginals is the product of theirs over the same mask, paired afresh
-    for each fill, and its entropy function is the sum of theirs.
+    factors' rows in its own layout, which its structure and entropy read;
+    its own rows are paired when first read.
     """
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")
@@ -555,10 +586,11 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     move = _packer(R._parts, tuple(range(len(parts))), parts)
     r = {move(code): wr for code, wr in R._weights.items()}
     # Reduced weights have gcd 1, and so do their pairwise products (the gcd
-    # of all a * b is gcd(a) * gcd(b)), so the product keeps the denominator
-    # Q._D * R._D over which the paired factor marginals are read.
-    L = JointDistribution._from_weights(space, _paired(q, r), Q._D * R._D)
-    L._factors = (q, Q._D), (r, R._D)
+    # of all a * b is gcd(a) * gcd(b)), so the product's denominator is
+    # Q._D * R._D and its paired rows need no reduction.
+    L = JointDistribution.__new__(JointDistribution)
+    L.space, L._D, L._factors = space, Q._D * R._D, ((q, Q._D), (r, R._D))
+    L._parts, L._fields = _layout(space.cardinalities)
     return L
 
 

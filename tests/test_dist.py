@@ -375,8 +375,9 @@ class TestLatticeProduct:
             lattice_product(EX1, marginal(EX1, "xyz"))
 
     def test_fill_never_sums_the_product_rows(self, monkeypatch):
-        # the marginals of a lattice product come from its factors' tables,
-        # never from the 256 rows of the product itself
+        # the structure and the entropy of a lattice product read its
+        # factors' tables only: nothing summed is larger than a factor, and
+        # the 256 rows of the product itself are not even paired
         rng = random.Random(18)
         grid = list(itertools.product((0, 1), repeat=4))
         space = SampleSpace(NAMES, (2, 2, 2, 2))
@@ -385,7 +386,6 @@ class TestLatticeProduct:
             for ws in ([rng.randint(1, 9) for _ in grid] for _ in range(2))
         )
         L = lattice_product(Q, R)
-        assert len(L._weights) == 256
         sizes, summed = [], dist._summed
 
         def spy(rows, keep):
@@ -393,14 +393,23 @@ class TestLatticeProduct:
             return summed(rows, keep)
 
         monkeypatch.setattr(dist, "_summed", spy)
-        L._all_marginals()
+        monkeypatch.setattr(dist, "_paired", None)
+        assert induced_ci_structure(L) == induced_ci_structure(Q) & induced_ci_structure(R)
+        entropy_function(L)
         assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
-        # the fill is transient: a second one pairs the factors' tables again,
-        # still summing nothing larger than a factor
-        sizes.clear()
-        L._all_marginals()
-        assert sizes and max(sizes) <= max(len(Q._weights), len(R._weights))
-        assert list(L._marginals) == [L.space.full_mask]
+        assert "_weights" not in vars(L)
+        monkeypatch.undo()
+        assert len(L._weights) == 256
+
+    def test_repr_counts_the_rows_without_pairing_them(self, monkeypatch):
+        EX3 = catalog.get("EX3").distribution
+        L = lattice_product(EX1, EX3)
+        rows = len(EX1.items()) * len(EX3.items())
+        monkeypatch.setattr(dist, "_paired", None)
+        assert repr(L) == f"JointDistribution(x/y/z/u, {rows} rows)"
+        assert "_weights" not in vars(L)
+        monkeypatch.undo()
+        assert len(L._weights) == rows and repr(L) == f"JointDistribution(x/y/z/u, {rows} rows)"
 
     def test_one_off_queries_before_the_fill(self, monkeypatch):
         # one-off marginals of a lattice product are summed from its rows;
@@ -469,54 +478,75 @@ class TestLatticeEntropy:
             keep = [k for k in range(4) if m >> k & 1]
             assert value == pytest.approx(entropy_of_subset(rows, L.cardinalities, keep), abs=1e-11)
 
-    def test_caches_no_marginal_of_the_product(self):
+    def test_caches_no_marginal_of_the_product(self, monkeypatch):
+        # the entropy and the induced structure read the factors' fills and
+        # keep none of them; the product's rows are never paired
         L = lattice_product(EX5, CON1)
+        monkeypatch.setattr(dist, "_paired", None)
         entropy_function(L)
-        assert list(L._marginals) == [L.space.full_mask]
-        # the induced structure is tested on the product's own paired
-        # marginals, which it does not keep either
         assert induced_ci_structure(L) == induced_ci_structure(EX5) & induced_ci_structure(CON1)
-        assert list(L._marginals) == [L.space.full_mask]
+        assert "_weights" not in vars(L) and "_marginals" not in vars(L)
 
 
 class TestLatticeFill:
-    """A lattice product's paired marginals are a transient fill: its
-    factors' rows are its one kept copy."""
+    """A lattice product's structure and entropy read transient fills of
+    its factors' rows, its one kept copy; its own rows are paired only when
+    they are read."""
 
     @staticmethod
     def _plain(L):
         return JointDistribution(L.space, dict(L.items()))
 
-    def test_keeps_only_its_rows_in_either_order(self):
+    def test_keeps_only_its_rows_in_either_order(self, monkeypatch):
         for Q, R in TestLatticeEntropy._pairs():
             for first, second in (
                 (induced_ci_structure, entropy_function),
                 (entropy_function, induced_ci_structure),
             ):
                 L = lattice_product(Q, R)
-                first(L)
-                second(L)
-                assert sum(map(len, L._marginals.values())) == len(L._weights)
+                with monkeypatch.context() as m:
+                    m.setattr(dist, "_paired", None)
+                    first(L)
+                    second(L)
+                assert "_weights" not in vars(L)
                 assert induced_ci_structure(L) == induced_ci_structure(self._plain(L))
 
     def test_cached_one_off_marginals_are_not_paired_again(self, monkeypatch):
-        L = lattice_product(EX1, catalog.get("EX3").distribution)
+        # one-off marginals pair the product's rows and sum from them; the
+        # structure test then reads the factors' tables, and neither pairs
+        # nor sums the product's rows again, nor extends its cache
+        EX3 = catalog.get("EX3").distribution
+        L = lattice_product(EX1, EX3)
         for A in ("x", "yz", "xzu"):
             marginal(L, A)
         cached = dict(L._marginals)
         assert len(cached) == 4
-        pairs, paired = [], dist._paired
+        expected = induced_ci_structure(self._plain(L))
+        sizes, summed = [], dist._summed
 
-        def spy(q, r):
-            pairs.append(None)
-            return paired(q, r)
+        def spy(rows, keep):
+            sizes.append(len(rows))
+            return summed(rows, keep)
 
-        monkeypatch.setattr(dist, "_paired", spy)
-        fill = L._all_marginals()
-        assert len(pairs) == 16 - len(cached)
-        assert all(fill[m] is weights for m, weights in cached.items())
-        assert induced_ci_structure(L) == induced_ci_structure(self._plain(L))
+        monkeypatch.setattr(dist, "_summed", spy)
+        monkeypatch.setattr(dist, "_paired", None)
+        assert induced_ci_structure(L) == expected
+        assert sizes and max(sizes) <= max(len(EX1.items()), len(EX3.items()))
         assert L._marginals == cached
+
+    def test_holding_triplets_match_a_plain_copy(self):
+        # the test of a product stops at its first failing pair of rows, so
+        # only triplets that hold walk every pair; these products hold many
+        sources = [e.distribution for e in catalog.entries() if e.distribution is not None]
+        named = [tuple(catalog.get(e).distribution for e in p) for p in TestLatticeEntropy.PAIRS]
+        products = [lattice_product(Q, R) for Q, R in named + [(P, P) for P in sources]]
+        products.append(lattice_product(lattice_product(EX1, EX1), EX1))
+        held = 0
+        for L in products:
+            structure = induced_ci_structure(L)
+            assert structure == induced_ci_structure(self._plain(L))
+            held += len(structure)
+        assert held == 209
 
     def test_product_of_a_product(self):
         (Q, R), (S, _) = TestLatticeEntropy._random_pairs()[:2]
@@ -588,6 +618,30 @@ class TestMarginalFillBound:
     def test_lattice_product_at_the_bound(self):
         L = lattice_product(self._grid("x", (1024,)), self._grid("x", (512,)))
         assert len(L._weights) == dist.MAX_MARGINAL_FILL
+
+    def test_structure_and_entropy_at_the_row_cap(self, monkeypatch):
+        # 2**19 rows over four variables: a fill of the product's own rows
+        # would pass the bound, its factors' fills (1,024 and 512 rows) do
+        # not, and neither answer pairs the rows
+        rng = random.Random(28)
+        Q, R = (
+            JointDistribution(
+                SampleSpace(NAMES, cards),
+                {
+                    cfg: Fraction(w, sum(ws))
+                    for cfg, w in zip(itertools.product(*map(range, cards)), ws)
+                },
+            )
+            for cards in ((8, 8, 4, 4), (8, 4, 4, 4))
+            for ws in [[rng.randint(1, 9) for _ in range(math.prod(cards))]]
+        )
+        L = lattice_product(Q, R)
+        monkeypatch.setattr(dist, "_paired", None)
+        assert induced_ci_structure(L) == induced_ci_structure(Q) & induced_ci_structure(R)
+        hq, hr = entropy_function(Q).values, entropy_function(R).values
+        assert entropy_function(L).values == tuple(a + b for a, b in zip(hq, hr))
+        assert repr(L) == f"JointDistribution(x/y/z/u, {dist.MAX_MARGINAL_FILL} rows)"
+        assert "_weights" not in vars(L)
 
     def test_lattice_product_over_the_bound_builds_nothing(self, monkeypatch):
         Q, R = self._grid("x", (1024,)), self._grid("x", (513,))
@@ -776,8 +830,12 @@ class TestLatticeProperties:
                 L.marginal_density(X)
             else:
                 is_ci(L, X, Y, Z)
+        # the factors' fills, which the structure test reads pair by pair,
+        # pair to the product's marginals summed from its rows
+        q, r = (L._factor_fill(rows) for rows, _ in L._factors)
         for mask, weights in L._all_marginals().items():
             assert weights == dist._summed(L._weights, L._fields[mask])
+            assert dist._paired(q[mask], r[mask]) == weights
         # no gcd reduction: the factors' weights have gcd 1, so their products do
         assert L._D == Q._D * R._D
 
