@@ -7,7 +7,8 @@ behind the independence relation, conditional products of consonant
 distributions and lattice products (whose induced CI structure is the
 intersection of the factors' structures) are integer arithmetic; fractions
 appear only at the boundary (input densities, ``prob``, ``items``,
-``marginal_density``, JSON).  Entropy functions and Kullback-Leibler
+``marginal_density``, JSON), decoded from the integer rows on each read and
+never kept.  Entropy functions and Kullback-Leibler
 divergence are the only float outputs.  The module also builds the
 intersection variable of double-Markov pairs.
 
@@ -20,7 +21,8 @@ test are AND masks.  Entropy and the induced structure fill all 2**n
 marginals top-down, each summed from the mask one variable up, for at most
 MAX_MARGINAL_FILL entries in all; a one-off marginal comes from the smallest
 cached superset.  A lattice product keeps its factors' rows in its own
-layout and builds its own rows only when they are read.  Each of its
+layout and keeps its own rows only once a computation reads them; a
+boundary read pairs them for that read alone.  Each of its
 marginal weights at a code a + b is the product of its factors' at a and
 at b, so its structure is tested on their transient fills, pair by pair,
 and, since it pairs them independently, its entropy function is the sum of
@@ -219,9 +221,8 @@ class JointDistribution:
     """
 
     # unset until known: a lattice product's factors, ((rows, D) of each,
-    # its rows in the product's layout), the rows as Fractions by
-    # configuration, and the induced CI structure
-    _factors = _probs = _structure = None
+    # its rows in the product's layout), and the induced CI structure
+    _factors = _structure = None
 
     def __init__(self, space: SampleSpace, density: Mapping[tuple, object]):
         parts = _layout(space.cardinalities)[0]
@@ -277,10 +278,19 @@ class JointDistribution:
 
     @cached_property
     def _weights(self) -> dict[int, int]:
-        """A lattice product's rows, paired on first read (_assign sets
-        every other distribution's)."""
+        """A lattice product's rows, paired and kept on first read (_assign
+        sets every other distribution's)."""
+        return dict(self._rows())
+
+    def _rows(self):
+        """(code, weight) pairs in code order, for a read that keeps
+        nothing: a lattice product whose rows are not kept pairs its
+        factors' rows for this read alone."""
+        kept = vars(self).get("_weights")
+        if kept is not None:
+            return kept.items()
         (q, _), (r, _) = self._factors
-        return dict(sorted(_paired(q, r).items()))
+        return sorted(_paired(q, r).items())
 
     @cached_property
     def _marginals(self) -> dict[int, dict[int, int]]:
@@ -298,14 +308,15 @@ class JointDistribution:
         return self.space.cardinalities
 
     def support(self) -> list[tuple]:
-        return [cfg for cfg, _ in self.items()]
+        """The configurations of positive probability in configuration
+        order, decoded from the codes on each call."""
+        return [_config(self, code) for code, _ in self._rows()]
 
-    def items(self):
-        """(configuration, probability) pairs in configuration order."""
-        if self._probs is None:
-            D = self._D
-            self._probs = {_config(self, code): Fraction(w, D) for code, w in self._weights.items()}
-        return self._probs.items()
+    def items(self) -> list[tuple[tuple, Fraction]]:
+        """A fresh list of (configuration, probability) pairs in
+        configuration order, decoded on each call; nothing is kept."""
+        D = self._D
+        return [(_config(self, code), Fraction(w, D)) for code, w in self._rows()]
 
     def mask(self, names: MaskLike) -> int:
         return self.space.mask(names)
@@ -566,8 +577,11 @@ def lattice_product(Q: JointDistribution, R: JointDistribution) -> JointDistribu
     Variable i of the result ranges over pairs (Q-value, R-value), encoded
     as q * card_R(i) + r.  The induced CI structure is exactly the
     intersection of the factors' structures.  The result keeps both
-    factors' rows in its own layout, which its structure and entropy read;
-    its own rows are paired when first read.
+    factors' rows in its own layout, which its structure and entropy read.
+    Its own rows are paired and kept when a computation first reads them
+    (``is_ci``, ``marginal``, equality, divergence, ``reordered``, a further
+    product); ``items``, ``support`` and ``to_json_dict`` pair them for that
+    read alone.
     """
     if Q.names != R.names:
         raise ValueError("lattice product needs the same variables in the same order")

@@ -6,12 +6,14 @@ they print.  Budgets are wall-clock upper bounds; the enumerations
 actually finish in under a second.
 """
 
+import itertools
 import json
 import time
 from pathlib import Path
 
-from cinfer import checks
+from cinfer import catalog, checks
 from cinfer.cli import main
+from cinfer.inference import ci_structure_family, meet_closure_bits
 from cinfer.sets import Report
 
 # The detail line of every verify-paper check, without its time: a change that
@@ -61,6 +63,21 @@ class TestCountCriteria:
 class TestLatticeCriteria:
     def test_criterion_3_lattice_equivalence(self):
         run_criterion(3, "lattice-equivalence", budget=900)
+
+    def test_lattice_equivalence_fails_on_a_wrong_closure(self, monkeypatch):
+        # a closure of the family's size with one member swapped for a
+        # non-member, or with one member too many, must fail the check
+        closed = meet_closure_bits(s.to_bits() for s in catalog.all_irreducibles())
+        family = set(ci_structure_family())
+        outsider = next(b for b in itertools.count() if b not in family)
+        swapped = closed - {min(closed)} | {outsider}
+        assert len(swapped) == len(family)
+        for wrong in (swapped, closed | {outsider}):
+            monkeypatch.setattr(checks, "meet_closure_bits", lambda seeds: set(wrong))
+            ok, detail = checks.check_lattice_equivalence()
+            assert not ok, detail
+        monkeypatch.setattr(checks, "meet_closure_bits", lambda seeds: set(closed))
+        assert checks.check_lattice_equivalence() == (True, DETAILS["lattice-equivalence"])
 
     def test_criterion_4_irreducible_census(self):
         run_criterion(4, "irreducible-census", budget=60)

@@ -557,6 +557,70 @@ class TestLatticeFill:
         )
 
 
+class TestBoundaryReads:
+    """items, support, to_json_dict and marginal_density decode the integer
+    rows on each call and keep nothing they decode; a lattice product read
+    only through the first three keeps none of its own rows."""
+
+    @staticmethod
+    def _products():
+        named = [tuple(catalog.get(e).distribution for e in p) for p in TestLatticeEntropy.PAIRS]
+        return [lattice_product(Q, R) for Q, R in named] + [
+            lattice_product(lattice_product(EX1, CON1), EX5)
+        ]
+
+    @classmethod
+    def _distributions(cls):
+        sources = [e.distribution for e in catalog.entries() if e.distribution is not None]
+        assert len(sources) == 15
+        return sources + cls._products()
+
+    READS = (
+        JointDistribution.items,
+        JointDistribution.support,
+        JointDistribution.to_json_dict,
+    )
+
+    def test_reads_keep_nothing_they_decode(self):
+        for P in self._distributions():
+            kept = set(vars(P))
+            for read in self.READS:
+                read(P)
+            assert set(vars(P)) == kept
+            # a marginal keeps only what marginal() keeps: the marginal
+            # weights, and a lattice product's rows
+            P.marginal_density(P.names[0])
+            P.marginal_density(P.space.full_mask)
+            assert set(vars(P)) - kept <= {"_weights", "_marginals"}
+            assert "_probs" not in vars(P)
+
+    def test_lattice_reads_pair_its_rows_for_the_read_alone(self):
+        for structure_first in (True, False):
+            for L in self._products():
+                if structure_first:
+                    induced_ci_structure(L)
+                    entropy_function(L)
+                for read in self.READS:
+                    read(L)
+                if not structure_first:
+                    induced_ci_structure(L)
+                    entropy_function(L)
+                assert "_weights" not in vars(L)
+
+    def test_reads_repeat_and_match_a_plain_copy(self):
+        for P in self._distributions():
+            plain = JointDistribution(P.space, dict(P.items()))
+            for read in self.READS:
+                first, second = read(P), read(P)
+                assert first is not second
+                assert first == second == read(plain)
+            assert isinstance(P.items(), list)
+            assert P.support() == [cfg for cfg, _ in P.items()]
+            # a lattice product's kept rows read the same as its pairing
+            assert len(P._weights) == len(plain._weights)
+            assert P.items() == plain.items() and P.support() == plain.support()
+
+
 class TestOneVariable:
     def test_fair_bit(self):
         half = Fraction(1, 2)
