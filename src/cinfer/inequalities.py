@@ -20,12 +20,14 @@ Each of the nineteen implications is recorded as a schema combining one
 rule with one four-term rewriting of the Ingleton expression; the records
 are read by :mod:`cinfer.inference`.  ``verify_derivation`` re-checks the
 defining identities symbolically by evaluating the functionals on the
-indicator basis of set functions.  A sampled rule gets one verdict, a
-``Report`` decided at ``FLOAT_TOL``.
+indicator basis of set functions.  Each rule gets one verdict, a
+``Report`` decided at ``FLOAT_TOL`` on the catalog distributions under
+every assignment of its placeholders.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -33,15 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import catalog
-from .dist import (
-    JointDistribution,
-    SampleSpace,
-    _grid,
-    conditional_product,
-    entropy_function,
-    is_ci,
-    marginal,
-)
+from .dist import JointDistribution, SampleSpace, _grid, entropy_function, is_ci
 from .inference import DerivationSchema, Pattern, load_derivation_schemas
 from .sets import BasicSet, Record, Report, pairwise_disjoint, replace
 from .setfn import (
@@ -55,10 +49,6 @@ from .setfn import (
 )
 
 NEGATIVE_MARGIN = 1e-3
-
-# `cinfer verify-inequality --samples` accepts at most this many samples, a
-# bound on time alone: each takes about 0.3 ms and none is kept.
-MAX_SAMPLES = 100_000
 
 
 class ConditionalIngletonRule(Record):
@@ -109,6 +99,31 @@ def check_conditional_ingleton(
     h = entropy_function(P)
     value = float(ingleton(h, masks["X"], masks["Y"], masks["Z"], masks["U"]))
     return InequalityReport(rule.id, premises_hold, value)
+
+
+def verify_conditional_inequality(rule_id: int) -> Report:
+    """Evaluate one rule on every catalog distribution under all 24
+    assignments of X, Y, Z, U to its variables, as one report named
+    ``rule k``.  Its ``premises`` row holds when some instance meets both
+    premises, its ``ingleton`` row when no premise-meeting instance has an
+    Ingleton value below -FLOAT_TOL, and its value is the least such value
+    (``None`` when no instance meets the premises)."""
+    start = time.perf_counter()
+    values = []
+    for entry in catalog.entries():
+        P = entry.distribution
+        if P is None:
+            continue
+        for names in itertools.permutations(P.names):
+            report = check_conditional_ingleton(P, rule_id, dict(zip("XYZU", names)))
+            if report.premises_hold:
+                values.append(report.ingleton_value)
+    low = min(values, default=None)
+    rows = (
+        ("premises", bool(values), f"{len(values)} instances meet both premises"),
+        ("ingleton", all(v >= -FLOAT_TOL for v in values), f"minimum ingleton {low!r}"),
+    )
+    return Report(f"rule {rule_id}", rows, time.perf_counter() - start, low)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +340,8 @@ def schema_mutations(schema: DerivationSchema) -> list[DerivationSchema]:
 
 
 # ---------------------------------------------------------------------------
-# Randomized property suite support
+# Random test distributions
 # ---------------------------------------------------------------------------
-
-# Conditional-product construction enforcing (a superset of) each rule's
-# premises: glue the (A+C)- and (B+C)-marginals of a random source, which
-# makes A independent of B given C; the rule premises are elementary
-# consequences.
-PREMISE_ENFORCERS: dict[int, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
-    1: (("x",), ("y", "z", "u"), ()),
-    2: (("y",), ("x", "u"), ("z",)),
-    3: (("x",), ("y", "z", "u"), ()),
-    4: (("z",), ("x", "y", "u"), ()),
-    5: (("z",), ("x", "y"), ("u",)),
-}
 
 
 def random_distribution(rng: random.Random) -> JointDistribution:
@@ -352,40 +355,3 @@ def random_distribution(rng: random.Random) -> JointDistribution:
     return JointDistribution._from_weights(
         SampleSpace(("x", "y", "z", "u"), cards), dict(zip(support, weights)), sum(weights)
     )
-
-
-def random_premise_enforcing_distribution(
-    rule_id: int, rng: random.Random
-) -> JointDistribution:
-    """Random distribution satisfying the premises of one rule, built as
-    the conditional product of two marginals of a random source."""
-    A, B, C = PREMISE_ENFORCERS[rule_id]
-    source = random_distribution(rng)
-    Q = marginal(source, A + C)
-    R = marginal(source, B + C)
-    return conditional_product(Q, R, A, B, C)
-
-
-def sample_conditional_inequality(rule_id: int, samples: int) -> Report:
-    """Evaluate one rule on randomly constructed premise-satisfying
-    distributions, drawn from a random stream fixed per rule, as one report
-    named ``rule k``.  Its ``premises`` row holds when every sample meets
-    both premises, its ``ingleton`` row when no Ingleton value falls below
-    -FLOAT_TOL, and its value is the least Ingleton value.  The samples are
-    evaluated one at a time and none is kept."""
-    if samples < 1:
-        raise ValueError("a sampled verdict needs at least one sample")
-    start = time.perf_counter()
-    rng = random.Random(202300 + rule_id)
-    assignment = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
-    premises_hold, low = True, math.inf
-    for _ in range(samples):
-        P = random_premise_enforcing_distribution(rule_id, rng)
-        report = check_conditional_ingleton(P, rule_id, assignment)
-        premises_hold &= report.premises_hold
-        low = min(low, report.ingleton_value)
-    rows = (
-        ("premises", premises_hold, "an enforced premise failed"),
-        ("ingleton", low >= -FLOAT_TOL, f"ingleton value {low!r} below tolerance"),
-    )
-    return Report(f"rule {rule_id}", rows, time.perf_counter() - start, low)

@@ -11,10 +11,10 @@ import json
 import time
 from pathlib import Path
 
-from cinfer import catalog, checks
+from cinfer import catalog, checks, dist, inequalities
 from cinfer.cli import main
 from cinfer.inference import ci_structure_family, meet_closure_bits
-from cinfer.sets import Report
+from cinfer.sets import Report, replace
 
 # The detail line of every verify-paper check, without its time: a change that
 # only speeds the battery up must leave each one byte-identical.
@@ -109,7 +109,45 @@ class TestDerivationCriteria:
     def test_criterion_11_conditional_inequalities(self):
         run_criterion(11, "conditional-inequalities", budget=60)
 
+    def test_conditional_inequalities_fail_on_a_false_rule(self, monkeypatch):
+        # rule 1 with (X,Y|Z) as both premises is false: catalog distributions
+        # meet that premise with a negative Ingleton value
+        rules = inequalities.CONDITIONAL_INGLETON_RULES
+        monkeypatch.setitem(rules, 1, replace(rules[1], premises=(("X", "Y", "Z"),) * 2))
+        ok, detail = checks.check_conditional_inequalities()
+        assert not ok and detail.startswith("rule 1: ingleton: minimum ingleton -"), detail
+        monkeypatch.undo()
+        assert checks.check_conditional_inequalities() == (
+            True, DETAILS["conditional-inequalities"]
+        )
+
+    def test_conditional_inequalities_fail_with_nothing_tested(self, monkeypatch):
+        monkeypatch.setattr(inequalities, "is_ci", lambda P, A, B, C: False)
+        failure = "premises: 0 instances meet both premises"
+        assert inequalities.verify_conditional_inequality(1).failures() == [failure]
+        assert checks.check_conditional_inequalities() == (False, f"rule 1: {failure}")
+
+    def test_every_premise_of_every_rule_is_needed(self, monkeypatch):
+        # dropping either premise of a rule admits a clearly negative value
+        # on some catalog distribution
+        rules = inequalities.CONDITIONAL_INGLETON_RULES
+        for rule_id, rule in list(rules.items()):
+            for kept in rule.premises:
+                monkeypatch.setitem(rules, rule_id, replace(rule, premises=(kept,)))
+                report = inequalities.verify_conditional_inequality(rule_id)
+                assert report.value < -inequalities.NEGATIVE_MARGIN, (rule_id, kept)
+
 
 class TestAlgebraCriteria:
     def test_criterion_12_distribution_algebra(self):
         run_criterion(12, "distribution-algebra", budget=120)
+
+    def test_distribution_algebra_fails_on_a_wrong_product_structure(self, monkeypatch):
+        # a lattice product whose every factorization test passes has the
+        # full structure, not the meet of its factors' structures
+        monkeypatch.setattr(dist, "_pairs_factorize", lambda *args: True)
+        assert checks.check_distribution_algebra() == (
+            False, "lattice product EX1 x EX1 structure mismatch"
+        )
+        monkeypatch.undo()
+        assert checks.check_distribution_algebra() == (True, DETAILS["distribution-algebra"])

@@ -10,7 +10,7 @@ import pytest
 
 from cinfer import catalog, inequalities
 from cinfer.cli import main
-from cinfer.sets import BasicSet, Report
+from cinfer.sets import BasicSet
 from cinfer.structures import CIStructure
 
 
@@ -250,6 +250,10 @@ class TestErrorMessages:
     def test_unknown_check_is_quoted_once(self, capsys):
         assert main(["verify-paper", "--only", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown check 'nope'; known: ")
+        # an empty name is unknown too, not a request for every check
+        assert main(["verify-paper", "--only", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unknown check ''; known: ")
 
 
 class TestInputBounds:
@@ -413,45 +417,33 @@ class TestVerifyVerbs:
         assert main(["verify-paper", "--only", "nonsense"]) == 2
 
     def test_verify_inequality(self, capsys):
-        assert main(["verify-inequality", "3", "--samples", "20"]) == 0
-        assert "rule 3" in capsys.readouterr().out
+        assert main(["verify-inequality", "3"]) == 0
+        report = inequalities.verify_conditional_inequality(3)
+        assert capsys.readouterr().out == f"[PASS] rule 3: {report.detail}\n"
 
     def test_verify_inequality_bad_rule(self, capsys):
         assert main(["verify-inequality", "9"]) == 2
 
-    def test_verify_inequality_needs_a_sample(self, capsys):
-        assert main(["verify-inequality", "3", "--samples", "0"]) == 2
-        assert capsys.readouterr().err == "error: --samples must be at least 1\n"
-
-    def test_verify_inequality_sample_bound(self, capsys, monkeypatch):
-        # the stand-in keeps an unbounded run from drawing any sample
-        calls = []
-
-        def stand_in(rule, samples):
-            calls.append(samples)
-            rows = (("premises", True, ""), ("ingleton", True, ""))
-            return Report(f"rule {rule}", rows, 0.0, 0.0)
-
-        monkeypatch.setattr(inequalities, "sample_conditional_inequality", stand_in)
-        assert main(["verify-inequality", "3", "--samples", "100001"]) == 2
-        assert capsys.readouterr().err == "error: --samples must be at most 100000\n"
-        assert calls == []
-        assert main(["verify-inequality", "3", "--samples", "100000"]) == 0
-        assert calls == [100000]
-
     def test_verify_inequality_takes_no_tolerance(self, capsys):
-        # every sampled verdict is decided at FLOAT_TOL
+        # every verdict is decided at FLOAT_TOL
         with pytest.raises(SystemExit) as exc:
             main(["verify-inequality", "3", "--tol", "1e-6"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
+    def test_verify_inequality_takes_no_samples(self, capsys):
+        # the verdict runs on the catalog distributions, with nothing drawn
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-inequality", "3", "--samples", "20"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
     def test_verify_inequality_json(self, capsys):
-        assert main(["verify-inequality", "3", "--samples", "20", "--json"]) == 0
+        assert main(["verify-inequality", "3", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert list(data) == ["rule", "samples", "min_ingleton", "ok"]
-        assert data["rule"] == 3 and data["samples"] == 20 and data["ok"] is True
-        report = inequalities.sample_conditional_inequality(3, samples=20)
+        assert list(data) == ["rule", "instances", "min_ingleton", "ok"]
+        assert data["rule"] == 3 and data["instances"] == 128 and data["ok"] is True
+        report = inequalities.verify_conditional_inequality(3)
         assert data["min_ingleton"] == report.value
 
 

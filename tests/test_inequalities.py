@@ -1,6 +1,7 @@
 """Conditional Ingleton inequality checkers, counterexample certificates,
 and the symbolic derivation verifier."""
 
+import itertools
 import math
 import random
 
@@ -11,39 +12,46 @@ from cinfer.dist import entropy_function, is_ci
 from cinfer.inequalities import (
     CONDITIONAL_INGLETON_RULES,
     FLOAT_TOL,
-    PREMISE_ENFORCERS,
     InequalityReport,
     check_conditional_ingleton,
     check_sixth_failure,
     ex5_closed_form,
     load_derivation_schemas,
     random_distribution,
-    random_premise_enforcing_distribution,
-    sample_conditional_inequality,
     schema_mutations,
+    verify_conditional_inequality,
     verify_counterexample,
     verify_derivation,
     _statements,
 )
 from cinfer.inference import RULES, InferenceRule
-from cinfer.sets import BasicSet, Report, replace
-from cinfer.setfn import ingleton, substitute_pattern
-from cinfer.structures import expand_to_elementary
+from cinfer.sets import Report, replace
+from cinfer.setfn import ingleton
 
 from oracles import fraction_random_distribution
 
 ASSIGNMENT = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
 
 
+def _catalog_instances(rule_id):
+    """The rule checked one by one on every catalog distribution under all
+    24 assignments of X, Y, Z, U."""
+    return [
+        check_conditional_ingleton(entry.distribution, rule_id, dict(zip("XYZU", names)))
+        for entry in catalog.entries()
+        if entry.distribution is not None
+        for names in itertools.permutations("xyzu")
+    ]
+
+
 class TestCheckConditionalIngleton:
     def test_enforced_premises_give_nonnegative_values(self):
-        rng = random.Random(211)
-        for rule_id in range(1, 6):
-            for _ in range(20):
-                P = random_premise_enforcing_distribution(rule_id, rng)
-                report = check_conditional_ingleton(P, rule_id, ASSIGNMENT)
-                assert report.premises_hold
-                assert report.ingleton_value >= -1e-9
+        # every catalog instance that meets both premises of a rule has a
+        # non-negative Ingleton value, up to float noise
+        for rule_id, count in zip(range(1, 6), (118, 128, 128, 128, 128)):
+            met = [r for r in _catalog_instances(rule_id) if r.premises_hold]
+            assert len(met) == count
+            assert all(r.ingleton_value >= -1e-9 for r in met)
 
     def test_partial_premises_do_not_trigger(self):
         # the third counterexample satisfies (x,y|z) but not (x,y|)
@@ -63,18 +71,6 @@ class TestCheckConditionalIngleton:
         P = catalog.get("FULL").distribution
         with pytest.raises(ValueError):
             check_conditional_ingleton(P, 1, {"X": "x", "Y": "x", "Z": "z", "U": "u"})
-
-    @pytest.mark.parametrize("rule_id", range(1, 6))
-    def test_premise_enforcer_holds_both_premises(self, rule_id):
-        # the sampler's conditional product makes A independent of B given
-        # C; the elementary content of that statement contains the
-        # elementary content of both premises at X, Y, Z, U = x, y, z, u
-        base = BasicSet(("x", "y", "z", "u"))
-        enforced = expand_to_elementary(*map(base.mask, PREMISE_ENFORCERS[rule_id]))
-        masks = [base.mask(ASSIGNMENT[k]) for k in "XYZU"]
-        for premise in CONDITIONAL_INGLETON_RULES[rule_id].premises:
-            content = expand_to_elementary(*substitute_pattern(premise, *masks))
-            assert content and content <= enforced, (rule_id, premise)
 
     def test_rule_premise_tables(self):
         assert CONDITIONAL_INGLETON_RULES[1].premises == (("X", "Y", ""), ("X", "Y", "Z"))
@@ -221,34 +217,38 @@ class TestSampling:
             assert sum(p for _, p in P.items()) == 1
 
     def test_sample_reports_consistent(self):
-        # one verdict per rule: the report agrees with the same 30 samples
-        # drawn and checked one by one from the rule's random stream
+        # one verdict per rule: the report agrees with the catalog instances
+        # checked one by one
         for rule_id in range(1, 6):
-            report = sample_conditional_inequality(rule_id, samples=30)
-            rng = random.Random(202300 + rule_id)
-            singles = [
-                check_conditional_ingleton(
-                    random_premise_enforcing_distribution(rule_id, rng), rule_id, ASSIGNMENT
-                )
-                for _ in range(30)
-            ]
+            report = verify_conditional_inequality(rule_id)
+            met = [r.ingleton_value for r in _catalog_instances(rule_id) if r.premises_hold]
             assert type(report) is Report and report.name == f"rule {rule_id}"
             assert [part for part, _, _ in report.rows] == ["premises", "ingleton"]
-            assert report.ok and all(r.premises_hold for r in singles)
-            assert report.value == min(r.ingleton_value for r in singles) >= -FLOAT_TOL
+            assert report.ok and report.value == min(met) >= -FLOAT_TOL
+            assert report.detail == (
+                f"{len(met)} instances meet both premises; minimum ingleton {min(met)!r}"
+            )
 
     def test_sample_verdict_fails_below_the_tolerance(self, monkeypatch):
-        # a stand-in check that reports one value just past -FLOAT_TOL
-        values = iter([0.0, -2 * FLOAT_TOL, 0.0])
+        # a stand-in check whose second instance is just past -FLOAT_TOL
+        values = itertools.chain([0.0, -2 * FLOAT_TOL], itertools.repeat(0.0))
         monkeypatch.setattr(
             inequalities,
             "check_conditional_ingleton",
             lambda P, rule_id, assignment: InequalityReport(rule_id, True, next(values)),
         )
-        report = sample_conditional_inequality(3, samples=3)
+        report = verify_conditional_inequality(3)
         assert not report.ok and report.value == -2 * FLOAT_TOL
-        assert report.failures() == [f"ingleton: ingleton value {-2 * FLOAT_TOL!r} below tolerance"]
+        assert report.failures() == [f"ingleton: minimum ingleton {-2 * FLOAT_TOL!r}"]
 
-    def test_a_verdict_needs_a_sample(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            sample_conditional_inequality(3, samples=0)
+    def test_a_verdict_needs_a_sample(self, monkeypatch):
+        # with no instance meeting the premises the verdict is a failure,
+        # not a vacuous pass
+        monkeypatch.setattr(
+            inequalities,
+            "check_conditional_ingleton",
+            lambda P, rule_id, assignment: InequalityReport(rule_id, False, -1.0),
+        )
+        report = verify_conditional_inequality(3)
+        assert not report.ok and report.value is None
+        assert report.failures() == ["premises: 0 instances meet both premises"]

@@ -14,7 +14,7 @@ from cinfer.dist import SampleSpace
 from cinfer.inequalities import (
     ConditionalIngletonRule,
     InequalityReport,
-    sample_conditional_inequality,
+    verify_conditional_inequality,
     verify_counterexample,
 )
 from cinfer.inference import DerivationSchema, GroundRule, InferenceRule
@@ -306,8 +306,8 @@ def test_every_producer_returns_a_report():
     counterexample = verify_counterexample(1)
     assert type(counterexample) is Report and counterexample.name == "EX1"
     assert counterexample.value < 0 and counterexample.seconds > 0
-    sampled = sample_conditional_inequality(1, samples=3)
-    assert type(sampled) is Report and sampled.name == "rule 1" and len(sampled.rows) == 2
+    verdict = verify_conditional_inequality(1)
+    assert type(verdict) is Report and verdict.name == "rule 1" and len(verdict.rows) == 2
 
 
 def test_only_validating_records_write_an_init():
