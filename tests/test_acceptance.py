@@ -8,6 +8,7 @@ actually finish in under a second.
 
 import itertools
 import json
+import math
 import time
 from pathlib import Path
 
@@ -83,12 +84,34 @@ class TestLatticeCriteria:
         run_criterion(4, "irreducible-census", budget=60)
 
 
+def _entropies_in_bits(monkeypatch):
+    """Plant entropies in bits, not nats, under every entropy function."""
+    nats = dist._entropies
+    monkeypatch.setattr(
+        dist, "_entropies", lambda marginals, D: [h / math.log(2) for h in nats(marginals, D)]
+    )
+
+
 class TestIngletonCriteria:
     def test_criterion_5_example5_closed_form(self):
         run_criterion(5, "example5-closed-form", budget=1)
 
+    def test_example5_closed_form_fails_in_bits(self, monkeypatch):
+        _entropies_in_bits(monkeypatch)
+        assert not checks.check_example5_closed_form()[0]
+        monkeypatch.undo()
+        assert checks.check_example5_closed_form() == (True, DETAILS["example5-closed-form"])
+
     def test_criterion_6_counterexamples(self):
         run_criterion(6, "counterexamples", budget=4)
+
+    def test_counterexamples_fail_on_a_flipped_ingleton(self, monkeypatch):
+        # every certificate's Ingleton value turns positive
+        real = inequalities.ingleton
+        monkeypatch.setattr(inequalities, "ingleton", lambda h, *masks: -real(h, *masks))
+        assert not checks.check_counterexamples()[0]
+        monkeypatch.undo()
+        assert checks.check_counterexamples() == (True, DETAILS["counterexamples"])
 
     def test_criterion_8_mask_identities(self):
         run_criterion(8, "mask-identities", budget=5)
@@ -100,6 +123,13 @@ class TestIngletonCriteria:
 class TestCatalogCriteria:
     def test_criterion_7_catalog(self):
         run_criterion(7, "catalog", budget=5)
+
+    def test_catalog_fails_in_bits(self, monkeypatch):
+        # a construction's entropy is ln k times its rank function
+        _entropies_in_bits(monkeypatch)
+        assert not checks.check_catalog()[0]
+        monkeypatch.undo()
+        assert checks.check_catalog() == (True, DETAILS["catalog"])
 
 
 class TestDerivationCriteria:

@@ -25,7 +25,7 @@ from cinfer.dist import (
     lattice_product,
     marginal,
 )
-from cinfer.inequalities import random_distribution
+from cinfer.checks import random_distribution
 from cinfer.inference import ground_rules
 from cinfer.sets import BasicSet
 from cinfer.setfn import delta, induced_ci_structure_of_rank
@@ -119,6 +119,29 @@ class TestConstruction:
         data = EX5.to_json_dict()
         assert data["variables"][0] == {"name": "x", "cardinality": 2}
         assert {"config": [0, 0, 0, 0], "prob": "9/32"} in data["density"]
+
+
+class TestRandomDistribution:
+    def test_random_distribution_deterministic(self):
+        a = random_distribution(random.Random(5))
+        b = random_distribution(random.Random(5))
+        assert a == b
+
+    def test_matches_the_fraction_construction(self):
+        # same distribution, same representation, and the same rng state
+        # after the call, so every later draw from the generator is unchanged
+        for seed in range(300):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            P = random_distribution(rng)
+            Q = fraction_random_distribution(reference_rng)
+            assert P == Q and P._weights == Q._weights and P._D == Q._D
+            assert rng.getstate() == reference_rng.getstate()
+
+    def test_distributions_are_normalized(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            P = random_distribution(rng)
+            assert sum(p for _, p in P.items()) == 1
 
 
 class TestMarginal:

@@ -3,7 +3,6 @@ and the symbolic derivation verifier."""
 
 import itertools
 import math
-import random
 
 import pytest
 
@@ -12,12 +11,10 @@ from cinfer.dist import entropy_function, is_ci
 from cinfer.inequalities import (
     CONDITIONAL_INGLETON_RULES,
     FLOAT_TOL,
-    InequalityReport,
     check_conditional_ingleton,
     check_sixth_failure,
     ex5_closed_form,
     load_derivation_schemas,
-    random_distribution,
     schema_mutations,
     verify_conditional_inequality,
     verify_counterexample,
@@ -27,8 +24,6 @@ from cinfer.inequalities import (
 from cinfer.inference import RULES, InferenceRule
 from cinfer.sets import Report, replace
 from cinfer.setfn import ingleton
-
-from oracles import fraction_random_distribution
 
 ASSIGNMENT = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
 
@@ -194,29 +189,8 @@ class TestDerivations:
         assert all(a is b for a, b in zip(load_derivation_schemas(), load_derivation_schemas()))
 
 
-class TestSampling:
-    def test_random_distribution_deterministic(self):
-        a = random_distribution(random.Random(5))
-        b = random_distribution(random.Random(5))
-        assert a == b
-
-    def test_matches_the_fraction_construction(self):
-        # same distribution, same representation, and the same rng state
-        # after the call, so every later draw of a sampler is unchanged
-        for seed in range(300):
-            rng, reference_rng = random.Random(seed), random.Random(seed)
-            P = random_distribution(rng)
-            Q = fraction_random_distribution(reference_rng)
-            assert P == Q and P._weights == Q._weights and P._D == Q._D
-            assert rng.getstate() == reference_rng.getstate()
-
-    def test_distributions_are_normalized(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            P = random_distribution(rng)
-            assert sum(p for _, p in P.items()) == 1
-
-    def test_sample_reports_consistent(self):
+class TestVerdict:
+    def test_verdict_agrees_with_the_instances(self):
         # one verdict per rule: the report agrees with the catalog instances
         # checked one by one
         for rule_id in range(1, 6):
@@ -229,26 +203,42 @@ class TestSampling:
                 f"{len(met)} instances meet both premises; minimum ingleton {min(met)!r}"
             )
 
-    def test_sample_verdict_fails_below_the_tolerance(self, monkeypatch):
-        # a stand-in check whose second instance is just past -FLOAT_TOL
+    def test_verdict_fails_below_the_tolerance(self, monkeypatch):
+        # every instance meets the premises, and the second Ingleton value
+        # the verdict computes is just past -FLOAT_TOL
         values = itertools.chain([0.0, -2 * FLOAT_TOL], itertools.repeat(0.0))
-        monkeypatch.setattr(
-            inequalities,
-            "check_conditional_ingleton",
-            lambda P, rule_id, assignment: InequalityReport(rule_id, True, next(values)),
-        )
+        monkeypatch.setattr(inequalities, "is_ci", lambda P, A, B, C: True)
+        monkeypatch.setattr(inequalities, "ingleton", lambda h, X, Y, Z, U: next(values))
         report = verify_conditional_inequality(3)
         assert not report.ok and report.value == -2 * FLOAT_TOL
         assert report.failures() == [f"ingleton: minimum ingleton {-2 * FLOAT_TOL!r}"]
 
-    def test_a_verdict_needs_a_sample(self, monkeypatch):
+    def test_a_verdict_needs_an_instance(self, monkeypatch):
         # with no instance meeting the premises the verdict is a failure,
-        # not a vacuous pass
+        # not a vacuous pass, and no Ingleton value is computed
+        monkeypatch.setattr(inequalities, "is_ci", lambda P, A, B, C: False)
         monkeypatch.setattr(
-            inequalities,
-            "check_conditional_ingleton",
-            lambda P, rule_id, assignment: InequalityReport(rule_id, False, -1.0),
+            inequalities, "ingleton", lambda *args: pytest.fail("an Ingleton value was computed")
         )
         report = verify_conditional_inequality(3)
         assert not report.ok and report.value is None
         assert report.failures() == ["premises: 0 instances meet both premises"]
+
+    @pytest.mark.parametrize("rule_id, met", zip(range(1, 6), (118, 128, 128, 128, 128)))
+    def test_each_entropy_function_is_computed_once(self, monkeypatch, rule_id, met):
+        # one entropy function per catalog distribution, and one Ingleton
+        # value per instance that meets both premises
+        calls = {"entropy_function": 0, "ingleton": 0}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(inequalities, name, counted(name, getattr(inequalities, name)))
+        report = verify_conditional_inequality(rule_id)
+        assert report.ok and report.detail.startswith(f"{met} instances")
+        assert calls == {"entropy_function": 15, "ingleton": met}

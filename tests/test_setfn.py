@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from cinfer import catalog, inequalities, setfn
 from cinfer.sets import BasicSet
-from cinfer.inequalities import FLOAT_TOL, random_distribution
+from cinfer.checks import random_distribution
+from cinfer.inequalities import FLOAT_TOL
 from cinfer.setfn import (
     MASK_TERMS,
     SetFunction,
