@@ -27,7 +27,10 @@ marginal weights at a code a + b is the product of its factors' at a and
 at b, so its structure is tested on their transient fills, pair by pair,
 and, since it pairs them independently, its entropy function is the sum of
 theirs, H_L(A) = H_Q(A) + H_R(A).  Codes are repacked only where a new
-sample space is made, and decoded to tuples only at the boundary.
+sample space is made, and decoded to tuples only at the boundary.  The
+space derived from a source space at a variable order, and the layout of
+a conditional product of two spaces, are built once per key and cached;
+a reorder to a distribution's own order returns the distribution.
 """
 
 from __future__ import annotations
@@ -119,12 +122,14 @@ def _layout(cards: tuple[int, ...]) -> tuple[tuple, tuple]:
     return tuple(parts), tuple(fields)
 
 
-def _grid(cards: Sequence[int]) -> list[int]:
+# Bounded: callers choose the cardinalities.
+@lru_cache(maxsize=4096)
+def _grid(cards: tuple[int, ...]) -> tuple[int, ...]:
     """The codes of every configuration, in configuration order."""
     codes = [0]
     for c in cards:
         codes = [code << (c - 1).bit_length() | v for code in codes for v in range(c)]
-    return codes
+    return tuple(codes)
 
 
 @lru_cache(maxsize=4096)
@@ -203,11 +208,19 @@ def _paired(q: dict, r: dict) -> dict:
     return {a + b: wa * wb for a, wa in q.items() for b, wb in pairs}
 
 
+# Bounded: callers choose the spaces.
+@lru_cache(maxsize=4096)
+def _derived(space: SampleSpace, order: tuple) -> tuple:
+    """The space of the variables of space at order, and the packer moving
+    a code of space into it."""
+    sub = SampleSpace([space.names[k] for k in order], [space.cardinalities[k] for k in order])
+    return sub, _packer(_layout(space.cardinalities)[0], order, _layout(sub.cardinalities)[0])
+
+
 def _moved(P: "JointDistribution", order: tuple, rows: dict) -> "JointDistribution":
     """Distribution over the variables of P at order, from weights over P's
     denominator keyed by codes of P."""
-    space = SampleSpace([P.names[k] for k in order], [P.cardinalities[k] for k in order])
-    move = _packer(P._parts, order, _layout(space.cardinalities)[0])
+    space, move = _derived(P.space, order)
     return JointDistribution._from_weights(space, {move(c): w for c, w in rows.items()}, P._D)
 
 
@@ -376,7 +389,10 @@ class JointDistribution:
         return dict(marginal(self, mask).items()) if mask else {(): Fraction(1)}
 
     def reordered(self, names: Sequence[str]) -> "JointDistribution":
-        """Same distribution with variables listed in another order."""
+        """Same distribution with variables listed in another order; the
+        distribution itself in its own order, since it is immutable."""
+        if tuple(names) == self.names:
+            return self
         if set(names) != set(self.names) or len(names) != len(self.names):
             raise ValueError("reordering must carry exactly the same labels")
         return _moved(self, tuple(map(self.space.index, names)), self._weights)
@@ -508,6 +524,32 @@ class ConsonanceError(ValueError):
     """The shared-variable marginals of two factors do not coincide."""
 
 
+# Bounded: callers choose the spaces.
+@lru_cache(maxsize=4096)
+def _glued(qs: SampleSpace, rs: SampleSpace, C: frozenset) -> tuple:
+    """The layout of a conditional product of factors over qs and rs that
+    share the variables C: its space, the shift of a Q code into it, its
+    C-fields, Q's C-mask and the packer of an R code into it.
+    ConsonanceError, raised on every call since exceptions are not cached,
+    when a shared variable's cardinalities differ."""
+    q_c = tuple(k for k, n in enumerate(qs.names) if n in C)
+    r_c = tuple(rs.index(qs.names[k]) for k in q_c)
+    extra = tuple(k for k, n in enumerate(rs.names) if n not in C)
+    if [qs.cardinalities[k] for k in q_c] != [rs.cardinalities[k] for k in r_c]:
+        raise ConsonanceError("shared variables must have equal sample spaces")
+    space = SampleSpace(
+        qs.names + tuple(rs.names[k] for k in extra),
+        qs.cardinalities + tuple(rs.cardinalities[k] for k in extra),
+    )
+    # a row of Q lands in the result shifted up; a row of R lands with its
+    # C-fields where Q's sit and its other fields below them
+    parts, fields = _layout(space.cardinalities)
+    to_result = _packer(
+        _layout(rs.cardinalities)[0], r_c + extra, tuple(parts[k] for k in q_c) + parts[qs.size:]
+    )
+    return space, parts[qs.size - 1][0], fields[space.mask(C)], qs.mask(C), to_result
+
+
 def conditional_product(
     Q: JointDistribution,
     R: JointDistribution,
@@ -532,22 +574,9 @@ def conditional_product(
     if set(R.names) != B | C:
         raise ValueError("second factor must be a distribution over B + C")
 
-    q_c = tuple(k for k, n in enumerate(Q.names) if n in C)
-    r_c = tuple(R.space.index(Q.names[k]) for k in q_c)
-    extra = tuple(k for k, n in enumerate(R.names) if n not in C)
-    if [Q.cardinalities[k] for k in q_c] != [R.cardinalities[k] for k in r_c]:
-        raise ConsonanceError("shared variables must have equal sample spaces")
-    space = SampleSpace(
-        Q.names + tuple(R.names[k] for k in extra),
-        Q.cardinalities + tuple(R.cardinalities[k] for k in extra),
-    )
-    # a row of Q lands in the result shifted up; a row of R lands with its
-    # C-fields where Q's sit and its other fields below them
-    parts, fields = _layout(space.cardinalities)
-    up, c_fields = parts[len(Q.names) - 1][0], fields[space.mask(C)]
-    to_result = _packer(R._parts, r_c + extra, tuple(parts[k] for k in q_c) + parts[len(Q.names):])
+    space, up, c_fields, q_mask, to_result = _glued(Q.space, R.space, frozenset(C))
     # C-marginal weights of Q and R over their own denominators
-    mq = {c << up: w for c, w in Q._marginal(Q.mask(C)).items()}
+    mq = {c << up: w for c, w in Q._marginal(q_mask).items()}
     mr, r_by_c = defaultdict(int), defaultdict(list)
     for code, w in R._weights.items():
         code = to_result(code)

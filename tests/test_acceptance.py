@@ -12,7 +12,7 @@ import math
 import time
 from pathlib import Path
 
-from cinfer import catalog, checks, dist, inequalities
+from cinfer import catalog, checks, dist, inequalities, setfn
 from cinfer.cli import main
 from cinfer.inference import ci_structure_family, meet_closure_bits
 from cinfer.sets import Report, replace
@@ -116,8 +116,32 @@ class TestIngletonCriteria:
     def test_criterion_8_mask_identities(self):
         run_criterion(8, "mask-identities", budget=5)
 
+    def test_mask_identities_fail_on_a_swapped_rewriting(self, monkeypatch):
+        # rewriting 3 with its added and subtracted masks exchanged is the
+        # negated expression
+        real = setfn._compiled_mask_form
+
+        def swapped(k, *masks):
+            added, subtracted = real(k, *masks)
+            return (subtracted, added) if k == 3 else (added, subtracted)
+
+        monkeypatch.setattr(setfn, "_compiled_mask_form", swapped)
+        assert checks.check_mask_identities() == (
+            False, "rewriting 3 differs on a random rational function"
+        )
+        monkeypatch.undo()
+        assert checks.check_mask_identities() == (True, DETAILS["mask-identities"])
+
     def test_criterion_9_hxy(self):
         run_criterion(9, "hxy", budget=1)
+
+    def test_hxy_fails_when_not_tight(self, monkeypatch):
+        monkeypatch.setattr(checks, "is_tight", lambda h: False)
+        assert checks.check_hxy() == (
+            False, "polymatroid=True, tight=False, matroid=False, ingleton=-1"
+        )
+        monkeypatch.undo()
+        assert checks.check_hxy() == (True, DETAILS["hxy"])
 
 
 class TestCatalogCriteria:
@@ -135,6 +159,15 @@ class TestCatalogCriteria:
 class TestDerivationCriteria:
     def test_criterion_10_derivations(self):
         run_criterion(10, "derivations", budget=5)
+
+    def test_derivations_fail_when_every_record_verifies(self, monkeypatch):
+        # a verifier that accepts everything accepts the 57 mutations too
+        monkeypatch.setattr(inequalities, "verify_derivation", lambda schema: True)
+        assert checks.check_derivations() == (
+            False, "19 schemas verify: True; 57 single-field mutations all fail: False"
+        )
+        monkeypatch.undo()
+        assert checks.check_derivations() == (True, DETAILS["derivations"])
 
     def test_criterion_11_conditional_inequalities(self):
         run_criterion(11, "conditional-inequalities", budget=60)

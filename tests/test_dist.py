@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cinfer import catalog, dist
+from cinfer import catalog, checks, dist
 from cinfer.dist import (
+    ConsonanceError,
     DominanceError,
     JointDistribution,
     SampleSpace,
@@ -267,6 +268,57 @@ class TestConditionalProduct:
         R = marginal(EX1, "yz")
         with pytest.raises(ValueError):
             conditional_product(Q, R, (), ("y",), ("z",))
+
+
+class TestDerivedSpaces:
+    def test_distribution_algebra_builds_each_derived_space_once(self, monkeypatch):
+        # one space per random distribution (500), lattice product (120) and
+        # extension (130), and one per distinct key of the marginals and
+        # reorderings (750) and of the conditional products (481); 5,960
+        # when every call built its own
+        catalog.entries()
+        dist._derived.cache_clear()
+        dist._glued.cache_clear()
+        calls = 0
+        real = SampleSpace.__init__
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            real(self, *args)
+
+        monkeypatch.setattr(SampleSpace, "__init__", counted)
+        assert checks.check_distribution_algebra()[0]
+        assert calls == 1981
+
+    def test_reorder_to_its_own_order_is_the_distribution(self):
+        for P in (EX1, marginal(EX5, "zx"), lattice_product(EX1, CON1)):
+            assert P.reordered(P.names) is P
+            assert P.reordered(list(P.names)) is P
+        with pytest.raises(ValueError, match="exactly the same labels"):
+            EX1.reordered(EX1.names + ("x",))
+
+    def test_same_names_with_other_cardinalities_get_their_own_spaces(self):
+        half = Fraction(1, 2)
+        Q = JointDistribution(SampleSpace(("x", "z"), (2, 2)), {(0, 0): half, (1, 1): half})
+        for card in (2, 3, 2):
+            R = JointDistribution(
+                SampleSpace(("y", "z"), (card, 2)), {(card - 1, 0): half, (0, 1): half}
+            )
+            assert marginal(R, "y").cardinalities == (card,)
+            assert marginal(R, "y").items() == [((0,), half), ((card - 1,), half)]
+            assert R.reordered(("z", "y")).cardinalities == (2, card)
+            P = conditional_product(Q, R, ("x",), ("y",), ("z",))
+            assert P.cardinalities == (2, 2, card)
+            assert marginal(P, "yz").reordered(R.names) == R
+
+    def test_non_consonant_cardinalities_raise_on_every_call(self):
+        # the cached layout of a conditional product caches no exception
+        Q = JointDistribution(SampleSpace(("x", "z"), (2, 2)), {(0, 0): 1})
+        R = JointDistribution(SampleSpace(("y", "z"), (2, 3)), {(0, 0): 1})
+        for _ in range(2):
+            with pytest.raises(ConsonanceError, match="shared variables must have equal"):
+                conditional_product(Q, R, ("x",), ("y",), ("z",))
 
 
 class TestEntropy:
