@@ -2,10 +2,11 @@
 """Full enumeration over four variables and the irreducible generators.
 
 Lists the semi-graphoids (26,424) as the closed sets of the exchange
-rules by Close-by-One, filters them down to the rule-closed CI structures
-(18,478), and rebuilds the latter family as the meet-closure of its 92
-irreducible members: the orbits of the nine sub-maximal structures, the
-orbits of the four counterexample structures, and the full structure.
+rules by a join of per-pair blocks, filters them down to the rule-closed
+CI structures (18,478), and rebuilds the latter family as the
+meet-closure of its 92 irreducible members: the orbits of the nine
+sub-maximal structures, the orbits of the four counterexample structures,
+and the full structure.
 """
 
 import time

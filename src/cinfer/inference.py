@@ -16,11 +16,11 @@ and whose derivations :func:`cinfer.inequalities.verify_derivation` checks,
 so each implication is stated once.
 
 Over four variables the closed structures are listed directly instead of
-being sought among the 2**24 candidates: Close-by-One (Kuznetsov, 1993)
-enumerates the 26,424 semi-graphoids as the closed sets of the exchange
-rules, and filtering them bit-sliced through the remaining rules leaves the
-18,478 closed structures, which also arise as the meet-closure of 92
-irreducible members (see :mod:`cinfer.catalog`).
+being sought among the 2**24 candidates: every exchange instance touches the
+triplets of two variable pairs only, so a join of per-pair blocks lists the
+26,424 semi-graphoids, and filtering them bit-sliced through the remaining
+rules leaves the 18,478 closed structures, which also arise as the
+meet-closure of 92 irreducible members (see :mod:`cinfer.catalog`).
 """
 
 from __future__ import annotations
@@ -240,21 +240,18 @@ def ground_rules(base: BasicSet, ruleset: str) -> tuple[GroundRule, ...]:
 
 @lru_cache(maxsize=None)
 class _Engine:
-    """Ground rules of one (size, ruleset) pair with per-bit premise buckets,
-    and per triplet bit ``b`` the rule bitset ``blocking[b]``, whose bit r is
-    set when rule r has ``b`` among its premises."""
+    """Ground rules of one (size, ruleset) pair and, per triplet bit ``b``,
+    the bitset ``blocking[b]`` of the rules that have ``b`` among their premises."""
 
     def __init__(self, n: int, ruleset: str):
         self.rules = _ground_rules_cached(n, ruleset)
-        self.premises = tuple(r.premise_bits for r in self.rules)
         self.conclusions = tuple(r.conclusion_bits for r in self.rules)
-        buckets: list[list[int]] = [[] for _ in range(bit_count_for(n))]
+        blocking = [0] * bit_count_for(n)
         for ri, r in enumerate(self.rules):
             for b in bit_indices(r.premise_bits):
-                buckets[b].append(ri)
-        self.buckets = tuple(tuple(b) for b in buckets)
-        self.blocking = tuple(sum(1 << ri for ri in b) for b in self.buckets)
-        self.triplet_mask = (1 << len(buckets)) - 1
+                blocking[b] |= 1 << ri
+        self.blocking = tuple(blocking)
+        self.triplet_mask = (1 << len(blocking)) - 1
         self.rule_mask = (1 << len(self.rules)) - 1
 
 
@@ -310,57 +307,58 @@ def is_closed(s: CIStructure) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _close_child(c: int, j: int, engine: _Engine, below: int) -> int:
-    """Closure of ``c | 1 << j`` for a closed ``c``, or -1 as soon as the
-    closure would add a bit of ``below``.
+def _block_join(n: int, ruleset: str) -> list[int]:
+    """Every closed structure of the ruleset, each once, in no particular
+    order.  The triplet bits form one block of ``2**(n-2)`` bits per variable
+    pair (bit order is pair-major), and an exchange instance touches only the
+    blocks of {i,j} and {i,k}.  Each block keeps the states that pass the
+    rules inside it, each pair of blocks gets a table from a state of the
+    earlier block to the fitting states of the later one, and structures grow
+    block by block through the tables of the blocks already set.  ValueError
+    when a rule touches more than two blocks."""
+    width = 1 << (n - 2)
+    states = range(1 << width)
+    block = states[-1]  # the bits of one block's state
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for r in _ground_rules_cached(n, ruleset):
+        blocks = {b // width for b in bit_indices(r.premise_bits | r.conclusion_bits)}
+        if len(blocks) > 2:
+            raise ValueError(f"the {ruleset!r} rules touch more than two variable pairs at once")
+        groups.setdefault(tuple(sorted(blocks)), []).append((r.premise_bits, r.conclusion_bits))
 
-    Invariant: ``c`` is closed, so every rule whose premises lie inside ``c``
-    already has its conclusions in ``c``.  A rule can fire only once a
-    premise bit outside ``c`` arrives, so only the buckets of ``j`` and of
-    the bits the firings add need visiting.
-    """
-    premises, conclusions, buckets = engine.premises, engine.conclusions, engine.buckets
-    s = c | 1 << j
-    added = [j]
-    while added:
-        for ri in buckets[added.pop()]:
-            if premises[ri] & ~s == 0:
-                new = conclusions[ri] & ~s
-                if new:
-                    if new & below:
-                        return -1
-                    s |= new
-                    added.extend(bit_indices(new))
-    return s
-
-
-def _close_by_one(n: int, ruleset: str) -> list[int]:
-    """Every closed structure of the ruleset, each reached once, in no
-    particular order (Kuznetsov's Close-by-One).
-
-    A closed set ``c`` whose generator was bit ``y - 1`` has the children
-    ``closure(c | 1 << j)`` for the bits ``j >= y`` outside ``c``.  A child is
-    kept only when its closure adds no bit below ``j`` (the canonicity test),
-    so each closed set has exactly one parent.
-    """
-    engine = _Engine(n, ruleset)
-    width = bit_count_for(n)
-    found = []
-    pending = [(closure_bits(0, n, ruleset), 0)]
-    while pending:
-        c, y = pending.pop()
-        found.append(c)
-        for j in range(y, width):
-            if not c >> j & 1:
-                child = _close_child(c, j, engine, ((1 << j) - 1) & ~c)
-                if child >= 0:
-                    pending.append((child, j + 1))
+    def fitting(group: list[tuple[int, int]], s: int, shift: int) -> int:
+        # bit y is set when s | y << shift is closed under the group
+        fits = 0
+        for y in states:
+            t = s | y << shift
+            if all(p & ~t or c & t == c for p, c in group):
+                fits |= 1 << y
+        return fits
+    found = [0]
+    for b in range(bit_count_for(n) // width):
+        shift = b * width
+        own = fitting(groups.get((b,), []), 0, shift)
+        tables = [
+            (a * width, [fitting(groups[a, b], x << a * width, shift) for x in states])
+            for a in range(b) if (a, b) in groups
+        ]
+        # the shifted states of each fitting mask, listed once per mask
+        choices: dict[int, list[int]] = {}
+        grown: list[int] = []
+        for s in found:
+            fits = own
+            for at, table in tables:
+                fits &= table[s >> at & block]
+            if fits not in choices:
+                choices[fits] = [y << shift for y in bit_indices(fits)]
+            grown += map(s.__or__, choices[fits])
+        found = grown
     return found
 
 
 @lru_cache(maxsize=None)
 def _semigraphoids() -> tuple[int, ...]:
-    return tuple(sorted(_close_by_one(4, "sg")))
+    return tuple(sorted(_block_join(4, "sg")))
 
 
 # Members per chunk of the bit-sliced filter; it bounds the transient packed

@@ -12,7 +12,7 @@ import math
 import time
 from pathlib import Path
 
-from cinfer import catalog, checks, dist, inequalities, setfn
+from cinfer import catalog, checks, dist, inequalities, inference, setfn
 from cinfer.cli import main
 from cinfer.inference import ci_structure_family, meet_closure_bits
 from cinfer.sets import Report, replace
@@ -34,6 +34,29 @@ def run_criterion(number: int, name: str, budget: float) -> Report:
     assert result.seconds <= budget, f"criterion {number} exceeded {budget}s budget"
     assert result.detail == DETAILS[name]
     return result
+
+
+# what a plant in the ground rules must reach: the rules, the closure
+# engines and both families are cached per process
+_RULE_CACHES = (
+    inference._ground_rules_cached,
+    inference._Engine,
+    inference._semigraphoids,
+    inference._ci_structures,
+)
+
+
+def _check_regrounded(monkeypatch, check):
+    """The check's result from rules grounded afresh under the plant in
+    place; the plant is undone and the real rules re-grounded afterwards."""
+    for cache in _RULE_CACHES:
+        cache.cache_clear()
+    try:
+        return check()
+    finally:
+        monkeypatch.undo()
+        for cache in _RULE_CACHES:
+            cache.cache_clear()
 
 
 class TestCountCriteria:
@@ -60,6 +83,25 @@ class TestCountCriteria:
         assert ok
         assert elapsed <= 900, "full-rule enumeration exceeded 15 minutes"
 
+    def test_semigraphoid_count_fails_without_one_exchange_instance(self, monkeypatch):
+        # the enumerator reads its rules from the grounding: one exchange
+        # direction fewer admits more structures
+        real = inference._exchange_instances
+        monkeypatch.setattr(inference, "_exchange_instances", lambda n: real(n)[1:])
+        assert _check_regrounded(monkeypatch, checks.check_semigraphoid_count) == (
+            False, "count = 28,171 (expected 26,424)"
+        )
+        assert checks.check_semigraphoid_count() == (True, DETAILS["semigraphoid-count"])
+
+    def test_ci_structure_count_fails_without_rule_i7(self, monkeypatch):
+        # a copy without I7, so the real table keeps its order
+        without = {k: r for k, r in inference.RULES.items() if k != "I7"}
+        monkeypatch.setattr(inference, "RULES", without)
+        assert _check_regrounded(monkeypatch, checks.check_ci_structure_count) == (
+            False, "count = 18,502 (expected 18,478)"
+        )
+        assert checks.check_ci_structure_count() == (True, DETAILS["ci-structure-count"])
+
 
 class TestLatticeCriteria:
     def test_criterion_3_lattice_equivalence(self):
@@ -82,6 +124,16 @@ class TestLatticeCriteria:
 
     def test_criterion_4_irreducible_census(self):
         run_criterion(4, "irreducible-census", budget=60)
+
+    def test_irreducible_census_fails_without_relabelings(self, monkeypatch):
+        # an orbit that holds only its representative leaves one member per
+        # type: 14 irreducibles, each type of size 1
+        monkeypatch.setattr(catalog, "orbit_bits", lambda bits, n=4: {bits})
+        assert checks.check_irreducible_census() == (
+            False, f"14 members in 14 orbit types of sizes {[1] * 14}"
+        )
+        monkeypatch.undo()
+        assert checks.check_irreducible_census() == (True, DETAILS["irreducible-census"])
 
 
 def _entropies_in_bits(monkeypatch):

@@ -270,13 +270,27 @@ class TestEnumeration:
 
     def test_families_match_brute_force_scan(self, sg_family, ci_family):
         # every one of the 2**24 candidates tested against the rule pairs,
-        # sharing no code with Close-by-One or the CI filter
+        # sharing no code with the block join or the CI filter
         def pairs(ruleset):
             return [(r.premise_bits, r.conclusion_bits) for r in ground_rules(BASE, ruleset)]
 
         scanned = brute_force_closed_family(pairs("sg"))
         assert sg_family == tuple(scanned.tolist())
         assert ci_family == tuple(closed_members(scanned, pairs("all")).tolist())
+
+    def test_block_join_over_three_variables(self):
+        # the 22 semi-graphoids over three variables, against a scan of all
+        # 2**6 triplet sets with the oracle's fixpoint
+        rules = ground_rules(BasicSet(("a", "b", "c")), "sg")
+        scanned = [bits for bits in range(1 << 6) if naive_closure(bits, rules) == bits]
+        assert len(scanned) == 22
+        assert sorted(inference._block_join(3, "sg")) == scanned
+
+    def test_block_join_takes_rules_over_two_pairs_only(self):
+        # an equivalence or implication instance spans more than two of the
+        # six variable pairs
+        with pytest.raises(ValueError, match="more than two variable pairs"):
+            inference._block_join(4, "all")
 
     def test_non_members_fail_the_scalar_check(self, sg_family, ci_family):
         # the enumerated families and the scalar closedness test agree on
