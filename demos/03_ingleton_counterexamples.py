@@ -30,5 +30,7 @@ print(f"  32 ln 2 + 30 ln 3 - 10 ln 5 + 7 ln 7 - 22 ln 11 = {ex5_closed_form():.
 
 sixth = check_sixth_failure()
 print("\nsixth premise pair {(x,z|u), (y,u|z)}:")
-print(f"  premises hold:  {sixth.premises_hold}")
-print(f"  ingleton value: {sixth.ingleton_value:.7f}  (negative, so no such inequality)")
+print(f"  ingleton value: {sixth.value:.7f}  (negative, so no such inequality)")
+print(f"  refutation:     {'PASS' if sixth.ok else 'FAIL'}")
+for name, ok, _ in sixth.rows:
+    print(f"    - {name}: {ok}")

@@ -65,11 +65,9 @@ _HOME = {
             "ground_rules",
             "is_closed",
             "load_derivation_schemas",
-            "orbit",
         ),
         "inequalities": (
             "CONDITIONAL_INGLETON_RULES",
-            "check_conditional_ingleton",
             "check_sixth_failure",
             "verify_counterexample",
             "verify_derivation",

@@ -22,7 +22,8 @@ are read by :mod:`cinfer.inference`.  ``verify_derivation`` re-checks the
 defining identities symbolically by evaluating the functionals on the
 indicator basis of set functions.  Each rule gets one verdict, a
 ``Report`` decided at ``FLOAT_TOL`` on the catalog distributions under
-every assignment of its placeholders.
+every assignment of its placeholders; the refutation of the sixth premise
+pair is a ``Report`` with the same two rows.
 """
 
 from __future__ import annotations
@@ -34,18 +35,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import catalog
-from .dist import JointDistribution, entropy_function, is_ci
-from .inference import DerivationSchema, Pattern, load_derivation_schemas
-from .sets import BasicSet, Record, Report, pairwise_disjoint, replace
-from .setfn import (
-    FLOAT_TOL,
-    MASK_TERMS,
-    SetFunction,
-    delta,
-    ingleton,
-    mask_form,
-    substitute_pattern,
-)
+from .dist import entropy_function, is_ci
+from .inference import DerivationSchema, load_derivation_schemas
+from .sets import BasicSet, Record, Report, replace
+from .setfn import FLOAT_TOL, MASK_TERMS, SetFunction, delta, ingleton, mask_form
+from .structures import Pattern, substitute_pattern
 
 NEGATIVE_MARGIN = 1e-3
 
@@ -67,40 +61,6 @@ CONDITIONAL_INGLETON_RULES: dict[int, ConditionalIngletonRule] = {
 }
 
 
-class InequalityReport(Record):
-    """CI-premise status and Ingleton value of one rule on one distribution."""
-
-    rule_id: int
-    premises_hold: bool
-    ingleton_value: float
-
-
-def _premises_hold(rule: ConditionalIngletonRule, P: JointDistribution, *masks: int) -> bool:
-    """Both premises of a rule hold exactly on P at the masks X, Y, Z, U."""
-    return all(is_ci(P, *substitute_pattern(p, *masks)) for p in rule.premises)
-
-
-def check_conditional_ingleton(
-    P: JointDistribution, rule_id: int, assignment: dict[str, object]
-) -> InequalityReport:
-    """Evaluate conditional inequality ``rule_id`` (1..5) on a distribution.
-
-    ``assignment`` maps the placeholders X, Y, Z, U to pairwise disjoint
-    non-empty variable groups of P (masks or label collections).  Premises
-    are tested exactly; the Ingleton value is computed on the entropy
-    function.
-    """
-    rule = CONDITIONAL_INGLETON_RULES[rule_id]
-    masks = {k: P.space.mask(v) for k, v in assignment.items()}
-    if set(masks) != {"X", "Y", "Z", "U"}:
-        raise ValueError("assignment must cover exactly X, Y, Z, U")
-    if any(m == 0 for m in masks.values()) or not pairwise_disjoint(*masks.values()):
-        raise ValueError("assignment must be pairwise disjoint and non-empty")
-    ordered = [masks[k] for k in "XYZU"]
-    premises_hold = _premises_hold(rule, P, *ordered)
-    return InequalityReport(rule.id, premises_hold, float(ingleton(entropy_function(P), *ordered)))
-
-
 def verify_conditional_inequality(rule_id: int) -> Report:
     """Evaluate one rule on every catalog distribution under all 24
     assignments of X, Y, Z, U to its variables, as one report named ``rule k``.
@@ -117,7 +77,7 @@ def verify_conditional_inequality(rule_id: int) -> Report:
             continue
         h = entropy_function(P)
         for masks in itertools.permutations((1, 2, 4, 8)):
-            if _premises_hold(rule, P, *masks):
+            if all(is_ci(P, *substitute_pattern(p, *masks)) for p in rule.premises):
                 values.append(float(ingleton(h, *masks)))
     low = min(values, default=None)
     rows = (
@@ -217,16 +177,22 @@ def verify_counterexample(example_id: int | str) -> Report:
     return Report(eid, tuple(rows), time.perf_counter() - start, value)
 
 
-def check_sixth_failure() -> InequalityReport:
+def check_sixth_failure() -> Report:
     """The premise pair {(X,Z|U), (Y,U|Z)} admits a strictly negative
     Ingleton value: both premises hold on the fifth counterexample while
     the expression is negative, so no sixth conditional inequality with
-    these premises exists."""
+    these premises exists.  One report named ``sixth premise pair``, with a
+    ``premises`` and an ``ingleton`` row like a rule's verdict, and the
+    Ingleton value on the fifth counterexample as its value."""
+    start = time.perf_counter()
     P = catalog.get("EX5").distribution
     X, Y, Z, U = (P.space.mask(n) for n in ("x", "y", "z", "u"))
-    premises_hold = is_ci(P, X, Z, U) and is_ci(P, Y, U, Z)
     value = float(ingleton(entropy_function(P), X, Y, Z, U))
-    return InequalityReport(0, premises_hold, value)
+    rows = (
+        ("premises", is_ci(P, X, Z, U) and is_ci(P, Y, U, Z), "a premise fails on EX5"),
+        ("ingleton", value < 0, f"ingleton {value!r} on EX5 is not negative"),
+    )
+    return Report("sixth premise pair", rows, time.perf_counter() - start, value)
 
 
 # ---------------------------------------------------------------------------

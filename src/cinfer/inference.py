@@ -37,13 +37,13 @@ from .sets import BasicSet, Record, bit_indices, submasks
 from .structures import (
     CIStructure,
     ElementaryTriplet,
+    Pattern,
     bit_count_for,
     expand_to_elementary,
     relabelings,
+    substitute_pattern,
     triplet_index,
 )
-
-Pattern = tuple[str, str, str]  # (first, second, conditioning) placeholder strings
 
 
 class InferenceRule(Record):
@@ -170,8 +170,7 @@ def _pattern_bits(patterns: Sequence[Pattern]) -> int:
     idx = triplet_index(4)
     bits = 0
     for pattern in patterns:
-        masks = (sum(1 << "XYZU".index(ch) for ch in part) for part in pattern)
-        for t in expand_to_elementary(*masks):
+        for t in expand_to_elementary(*substitute_pattern(pattern, 1, 2, 4, 8)):
             bits |= 1 << idx[t]
     return bits
 
@@ -445,12 +444,6 @@ def meet_closure_bits(seed_bits: Iterable[int]) -> set[int]:
         for w in tuple(family):
             family.add(w & s)
     return family
-
-
-def orbit(s: CIStructure) -> list[CIStructure]:
-    """Distinct images of a structure under all permutations of its
-    variables, sorted by bitmask."""
-    return [CIStructure(s.base, b) for b in sorted(orbit_bits(s.bits, s.base.size))]
 
 
 def orbit_bits(bits: int, n: int = 4) -> set[int]:

@@ -36,7 +36,7 @@ from .sets import (
     set_field,
     submasks,
 )
-from .structures import CIStructure
+from .structures import CIStructure, Pattern, substitute_pattern
 
 Value = Fraction | int | float
 
@@ -205,28 +205,13 @@ def ingleton(h: SetFunction, X: int, Y: int, Z: int, U: int) -> Value:
 # X, Y, Z, U; a multi-letter component means the union of those sets.  In
 # every form the single negative term is the one a conditional derivation
 # forces to vanish.
-MASK_TERMS: dict[int, tuple[tuple[int, tuple[str, str, str]], ...]] = {
+MASK_TERMS: dict[int, tuple[tuple[int, Pattern], ...]] = {
     1: ((+1, ("Z", "U", "X")), (+1, ("Z", "U", "Y")), (+1, ("X", "Y", "")), (-1, ("Z", "U", ""))),
     2: ((+1, ("Z", "U", "Y")), (+1, ("X", "Z", "U")), (+1, ("X", "Y", "")), (-1, ("X", "Z", ""))),
     3: ((+1, ("X", "Y", "Z")), (+1, ("X", "Z", "U")), (+1, ("Z", "U", "Y")), (-1, ("X", "Z", "Y"))),
     4: ((+1, ("X", "Y", "Z")), (+1, ("X", "Y", "U")), (+1, ("Z", "U", "XY")), (-1, ("X", "Y", "ZU"))),
     5: ((+1, ("X", "Y", "Z")), (+1, ("X", "Z", "U")), (+1, ("Z", "U", "XY")), (-1, ("X", "Z", "YU"))),
 }
-
-
-def substitute_pattern(
-    pattern: tuple[str, str, str], X: int, Y: int, Z: int, U: int
-) -> tuple[int, int, int]:
-    """Replace placeholder letters by masks, uniting multi-letter components."""
-    assignment = {"X": X, "Y": Y, "Z": Z, "U": U}
-
-    def part(letters: str) -> int:
-        m = 0
-        for ch in letters:
-            m |= assignment[ch]
-        return m
-
-    return part(pattern[0]), part(pattern[1]), part(pattern[2])
 
 
 # Bounded: callers choose the masks.

@@ -15,6 +15,10 @@ the variables moves each set bit to the bit of its image triplet; for up
 to six variables, :func:`relabelings` moves a bitmask under all n!
 permutations at once, one OR of packed :func:`image_words` per set bit
 (orbits and the relabeled ground rules).
+
+The rule tables, rewritings and derivation records write statements as
+patterns over the placeholders X, Y, Z, U; :func:`substitute_pattern` is
+the one reader of those letters.
 """
 
 from __future__ import annotations
@@ -127,6 +131,23 @@ def expand_to_elementary(X: int, Y: int, Z: int) -> frozenset[ElementaryTriplet]
             for extra in submasks(free):
                 out.add(ElementaryTriplet.canonical(i, j, Z | extra))
     return frozenset(out)
+
+
+Pattern = tuple[str, str, str]  # (first, second, conditioning) placeholder strings
+
+
+def substitute_pattern(pattern: Pattern, X: int, Y: int, Z: int, U: int) -> tuple[int, int, int]:
+    """Replace the placeholder letters X, Y, Z, U of a pattern by masks,
+    uniting the masks of a multi-letter component."""
+    assignment = {"X": X, "Y": Y, "Z": Z, "U": U}
+
+    def part(letters: str) -> int:
+        m = 0
+        for ch in letters:
+            m |= assignment[ch]
+        return m
+
+    return part(pattern[0]), part(pattern[1]), part(pattern[2])
 
 
 # image_words(n) holds n! * w**2 bits for w = C(n,2) * 2**(n-2) triplets:

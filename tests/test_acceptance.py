@@ -242,6 +242,19 @@ class TestDerivationCriteria:
         assert inequalities.verify_conditional_inequality(1).failures() == [failure]
         assert checks.check_conditional_inequalities() == (False, f"rule 1: {failure}")
 
+    def test_conditional_inequalities_fail_on_a_non_negative_sixth_pair(self, monkeypatch):
+        # with every Ingleton value made non-negative the five rules still
+        # hold, and the sixth premise pair is no longer refuted
+        real = inequalities.ingleton
+        monkeypatch.setattr(inequalities, "ingleton", lambda h, *masks: abs(real(h, *masks)))
+        assert all(inequalities.verify_conditional_inequality(k).ok for k in range(1, 6))
+        ok, detail = checks.check_conditional_inequalities()
+        assert not ok and detail.startswith("sixth premise pair: ingleton"), detail
+        monkeypatch.undo()
+        assert checks.check_conditional_inequalities() == (
+            True, DETAILS["conditional-inequalities"]
+        )
+
     def test_every_premise_of_every_rule_is_needed(self, monkeypatch):
         # dropping either premise of a rule admits a clearly negative value
         # on some catalog distribution

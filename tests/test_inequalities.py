@@ -11,7 +11,6 @@ from cinfer.dist import entropy_function, is_ci
 from cinfer.inequalities import (
     CONDITIONAL_INGLETON_RULES,
     FLOAT_TOL,
-    check_conditional_ingleton,
     check_sixth_failure,
     ex5_closed_form,
     load_derivation_schemas,
@@ -28,44 +27,52 @@ from cinfer.setfn import ingleton
 ASSIGNMENT = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
 
 
+def _instance(P, h, rule_id, assignment):
+    """Whether both premises of the rule hold on P at the assignment of
+    X, Y, Z, U to labels, and the Ingleton value of P's entropy function h
+    there."""
+    premises = CONDITIONAL_INGLETON_RULES[rule_id].premises
+    holds = all(is_ci(P, *([assignment[ch] for ch in part] for part in p)) for p in premises)
+    return holds, float(ingleton(h, *(P.mask(assignment[ch]) for ch in "XYZU")))
+
+
 def _catalog_instances(rule_id):
     """The rule checked one by one on every catalog distribution under all
     24 assignments of X, Y, Z, U."""
-    return [
-        check_conditional_ingleton(entry.distribution, rule_id, dict(zip("XYZU", names)))
-        for entry in catalog.entries()
-        if entry.distribution is not None
-        for names in itertools.permutations("xyzu")
-    ]
+    out = []
+    for entry in catalog.entries():
+        if entry.distribution is not None:
+            P, h = entry.distribution, entropy_function(entry.distribution)
+            for names in itertools.permutations("xyzu"):
+                out.append(_instance(P, h, rule_id, dict(zip("XYZU", names))))
+    return out
 
 
 class TestCheckConditionalIngleton:
+    """A rule on one distribution at one assignment, checked with is_ci and
+    ingleton alone."""
+
     def test_enforced_premises_give_nonnegative_values(self):
         # every catalog instance that meets both premises of a rule has a
         # non-negative Ingleton value, up to float noise
         for rule_id, count in zip(range(1, 6), (118, 128, 128, 128, 128)):
-            met = [r for r in _catalog_instances(rule_id) if r.premises_hold]
+            met = [value for holds, value in _catalog_instances(rule_id) if holds]
             assert len(met) == count
-            assert all(r.ingleton_value >= -1e-9 for r in met)
+            assert all(value >= -1e-9 for value in met)
 
     def test_partial_premises_do_not_trigger(self):
         # the third counterexample satisfies (x,y|z) but not (x,y|)
         P = catalog.get("EX3").distribution
-        report = check_conditional_ingleton(P, 1, ASSIGNMENT)
-        assert not report.premises_hold
+        holds, _ = _instance(P, entropy_function(P), 1, ASSIGNMENT)
+        assert not holds
         assert is_ci(P, "x", "y", "z") and not is_ci(P, "x", "y", "")
 
     def test_independent_bits_vanish(self):
         P = catalog.get("FULL").distribution
         for rule_id in range(1, 6):
-            report = check_conditional_ingleton(P, rule_id, ASSIGNMENT)
-            assert report.premises_hold
-            assert report.ingleton_value == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_overlapping_assignment(self):
-        P = catalog.get("FULL").distribution
-        with pytest.raises(ValueError):
-            check_conditional_ingleton(P, 1, {"X": "x", "Y": "x", "Z": "z", "U": "u"})
+            holds, value = _instance(P, entropy_function(P), rule_id, ASSIGNMENT)
+            assert holds
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_rule_premise_tables(self):
         assert CONDITIONAL_INGLETON_RULES[1].premises == (("X", "Y", ""), ("X", "Y", "Z"))
@@ -115,8 +122,14 @@ class TestCounterexamples:
 class TestSixthFailure:
     def test_premise_pair_refuted(self):
         report = check_sixth_failure()
-        assert report.premises_hold
-        assert report.ingleton_value < -1e-3 / 16
+        assert report.ok and report.value < -1e-3 / 16
+        assert report.value == verify_counterexample(5).value
+
+    def test_a_premise_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr(inequalities, "is_ci", lambda P, A, B, C: False)
+        report = check_sixth_failure()
+        assert not report.ok and report.value < 0
+        assert report.failures() == ["premises: a premise fails on EX5"]
 
     def test_independent_bits_consistent(self):
         P = catalog.get("FULL").distribution
@@ -195,7 +208,7 @@ class TestVerdict:
         # checked one by one
         for rule_id in range(1, 6):
             report = verify_conditional_inequality(rule_id)
-            met = [r.ingleton_value for r in _catalog_instances(rule_id) if r.premises_hold]
+            met = [value for holds, value in _catalog_instances(rule_id) if holds]
             assert type(report) is Report and report.name == f"rule {rule_id}"
             assert [part for part, _, _ in report.rows] == ["premises", "ingleton"]
             assert report.ok and report.value == min(met) >= -FLOAT_TOL

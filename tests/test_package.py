@@ -16,6 +16,32 @@ def test_star_import_binds_exactly_the_exported_names():
     assert len(cinfer.__all__) == len(namespace)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_used(path):
+    """Every name a file reads or imports: Name ids, Attribute attrs and
+    import aliases."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_every_exported_name_has_a_caller():
+    # A name stays exported only while a program of the library, the bench
+    # harness or a demo reaches it.  The match is by name only: a local
+    # variable called like an unreached export (say ``orbit``) hides it.
+    package = Path(cinfer.__file__).parent
+    files = [p for p in package.rglob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    used = {name for path in files for name in _names_used(path)}
+    assert sorted(set(cinfer.__all__) - used) == []
+
+
 # Every defaulted parameter of a function or method in src/cinfer (lambdas
 # excluded), and every annotated class attribute with a value: the default
 # of a record field.  An option added or removed edits this list in the same

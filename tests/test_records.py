@@ -13,7 +13,7 @@ from cinfer.catalog import CatalogEntry
 from cinfer.dist import SampleSpace
 from cinfer.inequalities import (
     ConditionalIngletonRule,
-    InequalityReport,
+    check_sixth_failure,
     verify_conditional_inequality,
     verify_counterexample,
 )
@@ -95,11 +95,6 @@ RECORDS = {
         {"id": 2, "premises": PREMISES[2:]},
         "ConditionalIngletonRule(id=1, premises=(('X', 'Y', ''), ('X', 'Y', 'Z')))",
     ),
-    "InequalityReport": (
-        lambda: InequalityReport(1, True, 0.5),
-        {"rule_id": 2, "premises_hold": False, "ingleton_value": -0.5},
-        "InequalityReport(rule_id=1, premises_hold=True, ingleton_value=0.5)",
-    ),
     "DerivationSchema": (
         _schema,
         {
@@ -146,8 +141,8 @@ RECORDS = {
     ),
 }
 # The Report each producer builds (checks.run_check, catalog.verify,
-# inequalities.verify_counterexample), keyed by the record type it returned
-# before the three became one Report: build a fresh one, each of that
+# inequalities.verify_counterexample, inequalities.check_sixth_failure), keyed
+# by the record type it returned before the four became one Report: build a fresh one, each of that
 # type's fields mapped to the Report field that now holds it with a
 # different valid value, exact repr.
 PRODUCED = {
@@ -174,6 +169,16 @@ PRODUCED = {
         {"id": ("name", "EX2"), "checks": ("rows", ())},
         "Report(name='EX1', rows=(('claimed-statements', True, ''),), seconds=0.25, "
         "value=-0.25)",
+    ),
+    "InequalityReport": (
+        lambda: Report("sixth premise pair", (("premises", True, ""),), 0.25, -0.5),
+        {
+            "rule_id": ("name", "rule 1"),
+            "premises_hold": ("rows", (("premises", False, "a premise fails"),)),
+            "ingleton_value": ("value", 0.5),
+        },
+        "Report(name='sixth premise pair', rows=(('premises', True, ''),), seconds=0.25, "
+        "value=-0.5)",
     ),
 }
 EVERY = {**RECORDS, **PRODUCED}
@@ -206,7 +211,7 @@ def test_every_record_class_has_a_row():
     for path in Path(cinfer.__file__).parent.glob("[!_]*.py"):
         importlib.import_module(f"cinfer.{path.stem}")
     assert sorted(cls.__qualname__ for cls in _subclasses(Record)) == sorted(RECORDS)
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("name", EVERY)
@@ -237,8 +242,8 @@ def test_changing_one_field_breaks_equality(name, label):
 def test_equality_needs_the_same_class():
     assert BasicSet(("x", "y")) != SampleSpace(("x", "y"), (2, 2))
     assert SampleSpace(("x", "y"), (2, 2)) != BasicSet(("x", "y"))
-    assert Report("x", (), 0.0, None) != InequalityReport("x", (), 0.0)
-    assert InequalityReport("x", (), 0.0) != Report("x", (), 0.0, None)
+    assert Report("x", (), 0.0, None) != InferenceRule("x", (), 0.0, None)
+    assert InferenceRule("x", (), 0.0, None) != Report("x", (), 0.0, None)
     assert GroundRule(3, 4) != (3, 4)
     assert ElementaryTriplet(0, 1, 0) != (0, 1, 0)
 
@@ -308,11 +313,15 @@ def test_every_producer_returns_a_report():
     assert counterexample.value < 0 and counterexample.seconds > 0
     verdict = verify_conditional_inequality(1)
     assert type(verdict) is Report and verdict.name == "rule 1" and len(verdict.rows) == 2
+    sixth = check_sixth_failure()
+    assert type(sixth) is Report and sixth.name == "sixth premise pair"
+    assert [part for part, _, _ in sixth.rows] == [part for part, _, _ in verdict.rows]
+    assert sixth.value < 0 and sixth.ok
 
 
 def test_only_validating_records_write_an_init():
     written = [name for name in RECORDS if "__init__" in vars(type(RECORDS[name][0]()))]
-    assert written == VALIDATING and len(FIELD_ONLY) == 8
+    assert written == VALIDATING and len(FIELD_ONLY) == 7
 
 
 @pytest.mark.parametrize("name", FIELD_ONLY + list(PRODUCED))

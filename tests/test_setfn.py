@@ -25,11 +25,10 @@ from cinfer.setfn import (
     is_polymatroid,
     is_tight,
     mask_form,
-    substitute_pattern,
     tighten,
     upper_indicator,
 )
-from cinfer.structures import CIStructure, canonical_triplets
+from cinfer.structures import CIStructure, canonical_triplets, substitute_pattern
 from cinfer.dist import entropy_function
 
 from oracles import (
