@@ -1,5 +1,5 @@
 """Conditional Ingleton inequalities, their counterexample certificates,
-and the symbolic checker for the nineteen schematic derivations.
+and the checker for the nineteen schematic derivations.
 
 Five conditional inequalities guarantee a non-negative Ingleton expression
 for entropy functions once two difference terms vanish:
@@ -18,12 +18,13 @@ premise pair {(X,Z|U), (Y,U|Z)} admits one too.
 
 Each of the nineteen implications is recorded as a schema combining one
 rule with one four-term rewriting of the Ingleton expression; the records
-are read by :mod:`cinfer.inference`.  ``verify_derivation`` re-checks the
-defining identities symbolically by evaluating the functionals on the
-indicator basis of set functions.  Each rule gets one verdict, a
-``Report`` decided at ``FLOAT_TOL`` on the catalog distributions under
-every assignment of its placeholders; the refutation of the sixth premise
-pair is a ``Report`` with the same two rows.
+are read by :mod:`cinfer.inference`.  ``verify_derivation`` recomputes a
+record's implication in ground triplet bits, the rewriting's three positive
+terms and the rule's two premises implying its negated term, and checks any
+strengthening identity on the indicator basis of set functions.  Each rule
+gets one verdict, a ``Report`` decided at ``FLOAT_TOL`` on the catalog
+distributions under every assignment of its placeholders; the refutation
+of the sixth premise pair is a ``Report`` with the same two rows.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 from . import catalog
 from .dist import entropy_function, is_ci
-from .inference import DerivationSchema, load_derivation_schemas
+from .inference import DerivationSchema, _pattern_bits, load_derivation_schemas
 from .sets import BasicSet, Record, Report, replace
 from .setfn import FLOAT_TOL, MASK_TERMS, SetFunction, delta, ingleton, mask_form
 from .structures import Pattern, substitute_pattern
@@ -91,14 +92,11 @@ def verify_conditional_inequality(rule_id: int) -> Report:
 # Counterexample certificates
 # ---------------------------------------------------------------------------
 
-# Which rewriting exhibits negativity for each counterexample: the three
+# Which rewritings exhibit negativity for each counterexample: the three
 # positive terms vanish on the entry's CI structure, leaving the negated
 # difference term.
-_COUNTEREXAMPLE_MASKS: dict[str, tuple[tuple[int, Pattern], ...]] = {
-    "EX1": ((1, ("Z", "U", "")),),
-    "EX2": ((2, ("X", "Z", "")),),
-    "EX3": ((3, ("X", "Z", "Y")), (5, ("X", "Z", "YU"))),
-    "EX4": ((4, ("X", "Y", "ZU")),),
+_COUNTEREXAMPLE_REWRITINGS: dict[str, tuple[int, ...]] = {
+    "EX1": (1,), "EX2": (2,), "EX3": (3, 5), "EX4": (4,),
 }
 
 # 16 * Ingleton value of the fifth counterexample, in exact ln terms.
@@ -146,7 +144,7 @@ def verify_counterexample(example_id: int | str) -> Report:
             f"ingleton = {value!r} not below {-NEGATIVE_MARGIN / 16.0}",
         ))
     else:
-        for k, neg in _COUNTEREXAMPLE_MASKS[eid]:
+        for k in _COUNTEREXAMPLE_REWRITINGS[eid]:
             via_mask = float(mask_form(h, k, X, Y, Z, U))
             rows.append((
                 f"mask-{k}-agrees",
@@ -163,6 +161,7 @@ def verify_counterexample(example_id: int | str) -> Report:
                 max(abs(v) for v in positives) <= FLOAT_TOL,
                 f"positive terms {positives}",
             ))
+            (neg,) = [pat for sign, pat in MASK_TERMS[k] if sign < 0]
             neg_value = float(delta(h, *substitute_pattern(neg, X, Y, Z, U)))
             rows.append((
                 f"mask-{k}-negated-term",
@@ -201,17 +200,6 @@ def check_sixth_failure() -> Report:
 
 
 _FORMAL_BASE = BasicSet(("X", "Y", "Z", "U"))
-_FORMAL_MASKS = (1, 2, 4, 8)
-
-
-def _statements(patterns, X: int, Y: int, Z: int, U: int) -> set[tuple[int, int, int]]:
-    """The patterns at the masks X, Y, Z, U, each as the masks of its
-    unordered pair, smaller first, and its conditioning mask."""
-    out = set()
-    for pattern in patterns:
-        a, b, c = substitute_pattern(pattern, X, Y, Z, U)
-        out.add((min(a, b), max(a, b), c))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -229,55 +217,50 @@ def _functionals_equal(lhs, rhs) -> bool:
     return all(lhs(e) == rhs(e) for e in _indicator_functions())
 
 
-def verify_derivation(schema: DerivationSchema) -> bool:
-    """Check one derivation record symbolically.
+def _implication(mask: int, rule: int, letters: str) -> tuple[int, int]:
+    """Premise and conclusion triplet bits, at x, y, z, u, of rewriting
+    ``mask`` combined with rule ``rule`` read with its placeholders X, Y, Z,
+    U renamed to ``letters`` (``"YXUZ"`` for the [X, Z] <-> [Y, U] swap).
+    When the rewriting's three positive terms and the rule's two premises
+    vanish, the rewriting gives Ingleton <= 0 and the rule Ingleton >= 0, so
+    the negated term vanishes too."""
+    rename = str.maketrans("XYZU", letters)
+    premises = [pattern for sign, pattern in MASK_TERMS[mask] if sign > 0]
+    premises += [
+        tuple(part.translate(rename) for part in pattern)
+        for pattern in CONDITIONAL_INGLETON_RULES[rule].premises
+    ]
+    negated = [pattern for sign, pattern in MASK_TERMS[mask] if sign < 0]
+    return _pattern_bits(premises), _pattern_bits(negated)
 
-    (a) the rewriting reproduces the Ingleton expression as a functional;
-    (b) the recorded rule premises match the rule's premises, read with
-        [X, Z] <-> [Y, U] exchanged when the record is swapped, and occur
-        among the four premise terms;
-    (c) vanishing premises force the conclusion: the rewriting's positive
-        terms all occur among the premises and its negated term is the
-        conclusion;
-    (d) any strengthening identity holds as a functional and its addend is
-        a premise.
+
+def verify_derivation(schema: DerivationSchema) -> bool:
+    """Check one derivation record in ground triplet bits at x, y, z, u.
+
+    The record's four premises must be exactly the premises of its
+    rewriting combined with its rule (swapped when the record is), and its
+    conclusion that implication's conclusion; any strengthening identity
+    delta(conclusion) + delta(addend) = delta(result) must hold as a
+    functional on the indicator basis, with its addend among the premises.
     """
     if schema.mask not in MASK_TERMS:
         raise ValueError(f"malformed schema: rewriting index {schema.mask}")
     if schema.rule not in CONDITIONAL_INGLETON_RULES:
         raise ValueError(f"malformed schema: rule id {schema.rule}")
-    if len(schema.premises) != 4 or len(schema.rule_premises) != 2:
-        raise ValueError("malformed schema: need four premises and two rule premises")
-    X, Y, Z, U = _FORMAL_MASKS
-
-    def mask_functional(h):
-        return mask_form(h, schema.mask, X, Y, Z, U)
-
-    if not _functionals_equal(lambda h: ingleton(h, X, Y, Z, U), mask_functional):
-        return False
-
-    premise_keys = _statements(schema.premises, X, Y, Z, U)
-    rule_at = (Y, X, U, Z) if schema.swapped else (X, Y, Z, U)
-    expected = _statements(CONDITIONAL_INGLETON_RULES[schema.rule].premises, *rule_at)
-    recorded = _statements(schema.rule_premises, X, Y, Z, U)
-    if recorded != expected or not recorded <= premise_keys:
-        return False
-
-    terms = MASK_TERMS[schema.mask]
-    positives = _statements([pat for sign, pat in terms if sign > 0], X, Y, Z, U)
-    negative = _statements([pat for sign, pat in terms if sign < 0], X, Y, Z, U)
-    if not positives <= premise_keys:
-        return False
-    if negative != _statements([schema.conclusion], X, Y, Z, U):
+    if len(schema.premises) != 4:
+        raise ValueError("malformed schema: need four premises")
+    premise_bits = _pattern_bits(schema.premises)
+    implication = _implication(schema.mask, schema.rule, "YXUZ" if schema.swapped else "XYZU")
+    if (premise_bits, _pattern_bits([schema.conclusion])) != implication:
         return False
 
     if schema.extension is not None:
         addend, result = schema.extension
-        if not _statements([addend], X, Y, Z, U) <= premise_keys:
+        if _pattern_bits([addend]) & ~premise_bits:
             return False
-        conc = substitute_pattern(schema.conclusion, X, Y, Z, U)
-        add = substitute_pattern(addend, X, Y, Z, U)
-        res = substitute_pattern(result, X, Y, Z, U)
+        conc, add, res = (
+            substitute_pattern(p, 1, 2, 4, 8) for p in (schema.conclusion, addend, result)
+        )
         if not _functionals_equal(
             lambda h: delta(h, *conc) + delta(h, *add), lambda h: delta(h, *res)
         ):
@@ -291,14 +274,14 @@ def schema_mutations(schema: DerivationSchema) -> list[DerivationSchema]:
     mutated_mask = replace(schema, mask=schema.mask % 5 + 1)
     mutated_rule = replace(schema, rule=schema.rule % 5 + 1)
     # replace the first premise by a triplet pattern absent from the record
-    present = _statements(schema.premises, *_FORMAL_MASKS)
+    present = _pattern_bits(schema.premises)
     spare = next(
         p
         for p in (
             ("Y", "U", "X"), ("Y", "Z", "X"), ("X", "U", "Y"), ("Y", "U", ""),
             ("X", "U", ""), ("Y", "Z", ""),
         )
-        if not _statements([p], *_FORMAL_MASKS) <= present
+        if _pattern_bits([p]) & ~present
     )
     mutated_premise = replace(
         schema, premises=(spare,) + tuple(schema.premises[1:])

@@ -11,9 +11,10 @@ and implications take the four placeholders to the 4! orderings of a
 four-variable base (elementary reduction makes singleton instantiation
 sufficient; the brute-force scan of the test oracles confirms it).  The
 nineteen implications are built from the :class:`DerivationSchema`
-records of ``data/derivation_schemas.json``, which this module alone parses
-and whose derivations :func:`cinfer.inequalities.verify_derivation` checks,
-so each implication is stated once.
+records of ``data/derivation_schemas.json``, which this module alone parses;
+:func:`cinfer.inequalities.verify_derivation` checks each record against
+the implication its rule and rewriting give, compared in the triplet bits of
+:func:`_pattern_bits`, so each implication is stated once.
 
 Over four variables the closed structures are listed directly instead of
 being sought among the 2**24 candidates: every exchange instance touches the
@@ -105,16 +106,15 @@ RULES: dict[str, InferenceRule] = {
 
 class DerivationSchema(Record):
     """Record of one implication's derivation: rule (possibly swapped),
-    rewriting index, the four vanishing premise terms, the two of them
-    instantiating the rule, the forced conclusion, and an optional
-    strengthening identity delta(conclusion) + delta(addend) = delta(result)."""
+    rewriting index, the four vanishing premise terms, the forced
+    conclusion, and an optional strengthening identity
+    delta(conclusion) + delta(addend) = delta(result)."""
 
     target: str
     rule: int
     swapped: bool
     mask: int
     premises: tuple[Pattern, ...]
-    rule_premises: tuple[Pattern, Pattern]
     conclusion: Pattern
     extension: tuple[Pattern, Pattern] | None  # (addend, result)
 
@@ -139,8 +139,7 @@ def _schemas() -> tuple[DerivationSchema, ...]:
         ext = rec.get("extension")
         out.append(DerivationSchema(
             rec["id"], int(rec["rule"]), bool(rec["swapped"]), int(rec["mask"]),
-            tuple(map(_pattern, rec["premises"])), tuple(map(_pattern, rec["rule_premises"])),
-            _pattern(rec["conclusion"]),
+            tuple(map(_pattern, rec["premises"])), _pattern(rec["conclusion"]),
             (_pattern(ext["addend"]), _pattern(ext["result"])) if ext else None,
         ))
     return tuple(out)

@@ -12,10 +12,13 @@ import math
 import time
 from pathlib import Path
 
+import pytest
+
 from cinfer import catalog, checks, dist, inequalities, inference, setfn
 from cinfer.cli import main
-from cinfer.inference import ci_structure_family, meet_closure_bits
-from cinfer.sets import Report, replace
+from cinfer.inference import InferenceRule, ci_structure_family, meet_closure_bits
+from cinfer.sets import Report, bit_indices, replace
+from cinfer.structures import canonical_triplets, relabelings
 
 # The detail line of every verify-paper check, without its time: a change that
 # only speeds the battery up must leave each one byte-identical.
@@ -59,6 +62,15 @@ def _check_regrounded(monkeypatch, check):
             cache.cache_clear()
 
 
+# The CI structure count with one implication left out of the rule table.
+DROPPED_RECORD_COUNTS = {
+    "I1": 18_508, "I2": 18_526, "I3": 18_526, "I4": 18_502, "I5": 18_526,
+    "I6": 18_526, "I7": 18_502, "I8": 18_502, "I9": 18_502, "I10": 18_502,
+    "I11": 18_502, "I12": 18_502, "I13": 18_496, "I14": 18_502, "I15": 18_502,
+    "I16": 18_502, "I17": 18_502, "I18": 18_502, "I19": 18_490,
+}
+
+
 class TestCountCriteria:
     def test_criterion_1_semigraphoid_count(self, capsys):
         # the CLI contract: `enumerate --rules sg` prints exactly 26424
@@ -93,12 +105,16 @@ class TestCountCriteria:
         )
         assert checks.check_semigraphoid_count() == (True, DETAILS["semigraphoid-count"])
 
-    def test_ci_structure_count_fails_without_rule_i7(self, monkeypatch):
-        # a copy without I7, so the real table keeps its order
-        without = {k: r for k, r in inference.RULES.items() if k != "I7"}
+    @pytest.mark.parametrize(
+        "target, count", DROPPED_RECORD_COUNTS.items(), ids=list(DROPPED_RECORD_COUNTS)
+    )
+    def test_ci_structure_count_fails_without_one_record(self, monkeypatch, target, count):
+        # a copy without the record's implication, so the real table keeps
+        # its order: each of the nineteen is needed
+        without = {k: r for k, r in inference.RULES.items() if k != target}
         monkeypatch.setattr(inference, "RULES", without)
         assert _check_regrounded(monkeypatch, checks.check_ci_structure_count) == (
-            False, "count = 18,502 (expected 18,478)"
+            False, f"count = {count:,} (expected 18,478)"
         )
         assert checks.check_ci_structure_count() == (True, DETAILS["ci-structure-count"])
 
@@ -220,6 +236,52 @@ class TestDerivationCriteria:
         )
         monkeypatch.undo()
         assert checks.check_derivations() == (True, DETAILS["derivations"])
+
+    def test_the_records_are_what_the_five_rules_give(self, monkeypatch):
+        # The Ingleton symmetries are the relabelings that leave the
+        # functional unchanged.  Each rewriting, with each rule read at each
+        # symmetry, is an implication; those whose conclusion is not a
+        # premise fall into orbits under relabeling, and the four-premise
+        # orbits alone give the CI structures, as do all of them.
+        symmetries = [
+            "".join(letters)
+            for letters in itertools.permutations("XYZU")
+            if inequalities._functionals_equal(
+                lambda h: setfn.ingleton(h, 1, 2, 4, 8),
+                lambda h: setfn.ingleton(h, *(1 << "XYZU".index(c) for c in letters)),
+            )
+        ]
+        assert symmetries == ["XYZU", "XYUZ", "YXZU", "YXUZ"]
+        implications = {
+            inequalities._implication(mask, rule, letters)
+            for mask, rule, letters in itertools.product(range(1, 6), range(1, 6), symmetries)
+        }
+        implications = {(p, c) for p, c in implications if c & ~p}
+        assert len(implications) == 63
+        orbits = {
+            min(zip(relabelings(p, 4), relabelings(c, 4))) for p, c in implications
+        }
+        sizes = [bin(p).count("1") for p, _ in orbits]
+        assert (len(orbits), sizes.count(4), sizes.count(5)) == (46, 22, 24)
+        for s in inequalities.load_derivation_schemas():
+            record = (inference._pattern_bits(s.premises), inference._pattern_bits([s.conclusion]))
+            assert record in implications, s.target
+
+        def patterns(bits):
+            triplets = map(canonical_triplets(4).__getitem__, bit_indices(bits))
+            return tuple(
+                ("XYZU"[t.i], "XYZU"[t.j], "".join("XYZU"[k] for k in bit_indices(t.K)))
+                for t in triplets
+            )
+
+        family = set(ci_structure_family())
+        for chosen in ([o for o in orbits if bin(o[0]).count("1") == 4], orbits):
+            rules = {k: r for k, r in inference.RULES.items() if not k.startswith("I")}
+            for n, (p, c) in enumerate(sorted(chosen)):
+                assert inference._pattern_bits(patterns(p)) == p
+                rules[f"O{n}"] = InferenceRule(f"O{n}", patterns(p), patterns(c), False)
+            monkeypatch.setattr(inference, "RULES", rules)
+            assert _check_regrounded(monkeypatch, lambda: set(ci_structure_family())) == family
 
     def test_criterion_11_conditional_inequalities(self):
         run_criterion(11, "conditional-inequalities", budget=60)

@@ -90,6 +90,16 @@ class TestConstruction:
                 space, {(0, 0): Fraction(3, 2), (1, 1): Fraction(-1, 2)}
             )
 
+    @pytest.mark.parametrize("text", ["1e-100", "1e100", "1E+100", "1e-0_100"])
+    def test_probability_exponent_at_the_bound_is_read(self, text):
+        assert dist.MAX_EXPONENT == 100
+        assert dist._probability(text) == Fraction(text.replace("_", ""))
+
+    @pytest.mark.parametrize("text", ["1e-101", "1e101", "1e-1000"])
+    def test_probability_exponent_past_the_bound_is_refused(self, text):
+        with pytest.raises(ValueError, match=r"decimal exponent beyond \+-100$"):
+            dist._probability(text)
+
     def test_zero_rows_dropped(self):
         space = SampleSpace(("a", "b"), (2, 2))
         P = JointDistribution(space, {(0, 0): 1, (1, 1): 0})

@@ -18,11 +18,11 @@ from cinfer.inequalities import (
     verify_conditional_inequality,
     verify_counterexample,
     verify_derivation,
-    _statements,
+    _implication,
 )
-from cinfer.inference import RULES, InferenceRule
+from cinfer.inference import RULES, InferenceRule, _pattern_bits
 from cinfer.sets import Report, replace
-from cinfer.setfn import ingleton
+from cinfer.setfn import MASK_TERMS, ingleton
 
 ASSIGNMENT = {"X": "x", "Y": "y", "Z": "z", "U": "u"}
 
@@ -77,11 +77,13 @@ class TestCheckConditionalIngleton:
     def test_rule_premise_tables(self):
         assert CONDITIONAL_INGLETON_RULES[1].premises == (("X", "Y", ""), ("X", "Y", "Z"))
         assert CONDITIONAL_INGLETON_RULES[5].premises == (("X", "Z", "U"), ("Y", "Z", "U"))
-        # the swapped second rule, (Y,X|U) and (X,Z|U) at X, Y, Z, U = 1, 2, 4, 8,
-        # is the pair (X,Y|U), (X,Z|U) as mask keys
-        swapped = _statements(CONDITIONAL_INGLETON_RULES[2].premises, 2, 1, 8, 4)
-        assert swapped == {(1, 2, 8), (1, 4, 8)}
-        assert swapped == _statements((("X", "Y", "U"), ("X", "Z", "U")), 1, 2, 4, 8)
+        # the swapped second rule, (Y,X|U) and (X,Z|U), is the pair (X,Y|U),
+        # (X,Z|U) in triplet bits; the second is also a positive term of
+        # rewriting 2, so the two give four premises
+        positives = [pattern for sign, pattern in MASK_TERMS[2] if sign > 0]
+        premises, _ = _implication(2, 2, "YXUZ")
+        assert premises == _pattern_bits(positives + [("X", "Y", "U"), ("X", "Z", "U")])
+        assert bin(premises).count("1") == 4
 
 
 class TestCounterexamples:
@@ -184,6 +186,15 @@ class TestDerivations:
         assert schemas["I2"].result == ("Z", "XU", "")
         assert schemas["I19"].result == ("Z", "XY", "U")
         assert schemas["I1"].result == schemas["I1"].conclusion == ("Z", "U", "")
+
+    def test_an_extension_needs_a_premise_addend_and_an_identity(self):
+        I2 = {s.target: s for s in load_derivation_schemas()}["I2"]
+        assert I2.extension == (("X", "Z", "U"), ("Z", "XU", ""))
+        # delta(Z,U|) + delta(Z,Y|U) = delta(Z,YU|) holds, but (Z,Y|U) is not
+        # a premise of I2
+        assert not verify_derivation(replace(I2, extension=(("Z", "Y", "U"), ("Z", "YU", ""))))
+        # the addend is a premise, but the identity does not hold
+        assert not verify_derivation(replace(I2, extension=(("X", "Z", "U"), ("Z", "XY", ""))))
 
     def test_each_implication_is_its_record(self):
         # I_k of the rule table has its record's four premises and the

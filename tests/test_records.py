@@ -33,7 +33,6 @@ def _schema(**changes):
         swapped=False,
         mask=1,
         premises=PREMISES,
-        rule_premises=PREMISES[:2],
         conclusion=("Z", "U", ""),
         extension=None,
     )
@@ -103,13 +102,12 @@ RECORDS = {
             "swapped": True,
             "mask": 3,
             "premises": PREMISES[::-1],
-            "rule_premises": PREMISES[2:],
             "conclusion": ("X", "Y", "U"),
             "extension": (("X", "Y", ""), ("X", "Y", "Z")),
         },
         "DerivationSchema(target='I1', rule=1, swapped=False, mask=1, premises=(('X', "
-        "'Y', ''), ('X', 'Y', 'Z'), ('Z', 'U', 'X'), ('Z', 'U', 'Y')), rule_premises="
-        "(('X', 'Y', ''), ('X', 'Y', 'Z')), conclusion=('Z', 'U', ''), extension=None)",
+        "'Y', ''), ('X', 'Y', 'Z'), ('Z', 'U', 'X'), ('Z', 'U', 'Y')), conclusion="
+        "('Z', 'U', ''), extension=None)",
     ),
     "CatalogEntry": (
         lambda: CatalogEntry("X", None, None, None, None, None, None, None, None),
