@@ -35,7 +35,7 @@ from .setfn import (
     is_tight,
     rank_functions_equal_upto_scale,
 )
-from .sets import Record, Report
+from .sets import Record, Report, quoted
 from .structures import CIStructure
 
 ENTRY_IDS = (
@@ -82,7 +82,7 @@ def get(entry_id: str) -> CatalogEntry:
         return _CACHE[entry_id]
     claims = _claims()
     if entry_id not in claims:
-        raise KeyError(f"unknown catalog entry {entry_id!r}; known: {ENTRY_IDS}")
+        raise KeyError(f"unknown catalog entry {quoted(entry_id)}; known: {ENTRY_IDS}")
     c = claims[entry_id]
     entry = CatalogEntry(
         id=entry_id,
@@ -148,7 +148,7 @@ def verify(entry: CatalogEntry) -> Report:
     if entry.claimed_orbit_size is not None:
         target = entry.claimed_statements if entry.claimed_statements is not None else induced
         if target is not None:
-            size = len(orbit_bits(target.bits, target.base.size))
+            size = len(orbit_bits(target.bits))
             rows.append((
                 "orbit",
                 size == entry.claimed_orbit_size,

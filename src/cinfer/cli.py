@@ -16,7 +16,7 @@ import sys
 from . import catalog, checks, inequalities
 from .dist import JointDistribution, entropy_function, induced_ci_structure, is_ci
 from .inference import ci_structure_family, closure, dump_family, semigraphoid_family
-from .sets import BasicSet, quoted
+from .sets import quoted
 from .setfn import ingleton
 from .structures import CIStructure
 
@@ -120,7 +120,7 @@ def cmd_enumerate(args) -> int:
         raise ValueError("--dump-human needs --dump")
     family = semigraphoid_family() if args.rules == "sg" else ci_structure_family()
     if args.dump:
-        dump_family(args.dump, family, BasicSet(("x", "y", "z", "u")), args.dump_human)
+        dump_family(args.dump, family, args.dump_human)
     count = len(family)
     print(json.dumps({"rules": args.rules, "count": count}) if args.json else count)
     return EXIT_OK

@@ -219,7 +219,7 @@ def _ground_rules_cached(n: int, ruleset: str) -> tuple[GroundRule, ...]:
             if rule.id in ("S0", "S1", "S2"):
                 continue
             pre, con = _pattern_bits(rule.premises), _pattern_bits(rule.conclusions)
-            for p, c in zip(relabelings(pre, 4), relabelings(con, 4)):
+            for p, c in zip(relabelings(pre), relabelings(con)):
                 rules += [(p, c), (c, p)] if rule.bidirectional else [(p, c)]
     # drop no-op instances, dedup, freeze order
     pairs = {(p, c) for p, c in rules if c & ~p}
@@ -305,24 +305,19 @@ def is_closed(s: CIStructure) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _block_join(n: int, ruleset: str) -> list[int]:
-    """Every closed structure of the ruleset, each once, in no particular
-    order.  The triplet bits form one block of ``2**(n-2)`` bits per variable
-    pair (bit order is pair-major), and an exchange instance touches only the
-    blocks of {i,j} and {i,k}.  Each block keeps the states that pass the
-    rules inside it, each pair of blocks gets a table from a state of the
-    earlier block to the fitting states of the later one, and structures grow
-    block by block through the tables of the blocks already set.  ValueError
-    when a rule touches more than two blocks."""
-    width = 1 << (n - 2)
-    states = range(1 << width)
-    block = states[-1]  # the bits of one block's state
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for r in _ground_rules_cached(n, ruleset):
-        blocks = {b // width for b in bit_indices(r.premise_bits | r.conclusion_bits)}
-        if len(blocks) > 2:
-            raise ValueError(f"the {ruleset!r} rules touch more than two variable pairs at once")
-        groups.setdefault(tuple(sorted(blocks)), []).append((r.premise_bits, r.conclusion_bits))
+def _block_join() -> list[int]:
+    """Every semi-graphoid over four variables, each once, in no particular
+    order.  The 24 triplet bits form one block of four bits per variable pair
+    (bit order is pair-major), and an exchange instance touches exactly the
+    blocks of {i,j} and {i,k}.  Each pair of blocks gets a table from a state
+    of the earlier block to the fitting states of the later one, and
+    structures grow block by block through the tables of the blocks already
+    set."""
+    states = range(16)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for r in _ground_rules_cached(4, "sg"):
+        a, b = sorted({t // 4 for t in bit_indices(r.premise_bits | r.conclusion_bits)})
+        groups.setdefault((a, b), []).append((r.premise_bits, r.conclusion_bits))
 
     def fitting(group: list[tuple[int, int]], s: int, shift: int) -> int:
         # bit y is set when s | y << shift is closed under the group
@@ -333,20 +328,19 @@ def _block_join(n: int, ruleset: str) -> list[int]:
                 fits |= 1 << y
         return fits
     found = [0]
-    for b in range(bit_count_for(n) // width):
-        shift = b * width
-        own = fitting(groups.get((b,), []), 0, shift)
+    for b in range(6):
+        shift = 4 * b
         tables = [
-            (a * width, [fitting(groups[a, b], x << a * width, shift) for x in states])
+            (4 * a, [fitting(groups[a, b], x << 4 * a, shift) for x in states])
             for a in range(b) if (a, b) in groups
         ]
         # the shifted states of each fitting mask, listed once per mask
         choices: dict[int, list[int]] = {}
         grown: list[int] = []
         for s in found:
-            fits = own
+            fits = (1 << 16) - 1  # every state of block b
             for at, table in tables:
-                fits &= table[s >> at & block]
+                fits &= table[s >> at & 15]
             if fits not in choices:
                 choices[fits] = [y << shift for y in bit_indices(fits)]
             grown += map(s.__or__, choices[fits])
@@ -356,7 +350,7 @@ def _block_join(n: int, ruleset: str) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _semigraphoids() -> tuple[int, ...]:
-    return tuple(sorted(_block_join(4, "sg")))
+    return tuple(sorted(_block_join()))
 
 
 # Members per chunk of the bit-sliced filter; it bounds the transient packed
@@ -416,9 +410,10 @@ def ci_structure_family() -> tuple[int, ...]:
     return _ci_structures()
 
 
-def dump_family(path: str, family: Iterable[int], base: BasicSet, human: bool) -> None:
+def dump_family(path: str, family: Iterable[int], human: bool) -> None:
     """Write one structure per line as a 6-hex-digit bitmask; with
-    ``human`` true append the triplet list over the base."""
+    ``human`` true append the triplet list over x, y, z, u."""
+    base = BasicSet(("x", "y", "z", "u"))
     with open(path, "w") as f:
         for bits in family:
             if human:
@@ -445,7 +440,7 @@ def meet_closure_bits(seed_bits: Iterable[int]) -> set[int]:
     return family
 
 
-def orbit_bits(bits: int, n: int = 4) -> set[int]:
-    """Distinct images of a triplet bitmask under all permutations of the
-    n variables."""
-    return set(relabelings(bits, n))
+def orbit_bits(bits: int) -> set[int]:
+    """Distinct images of a four-variable triplet bitmask under all
+    permutations of the variables."""
+    return set(relabelings(bits))

@@ -11,10 +11,10 @@ A CI structure is a set of such triplets over a fixed basic set, stored as
 one integer whose bit ``b`` marks the triplet at position ``b``; set algebra
 on structures is integer arithmetic, and triplet objects are made only when
 a structure is iterated (bit order equals sorted order).  A permutation of
-the variables moves each set bit to the bit of its image triplet; for up
-to six variables, :func:`relabelings` moves a bitmask under all n!
-permutations at once, one OR of packed :func:`image_words` per set bit
-(orbits and the relabeled ground rules).
+the variables moves each set bit to the bit of its image triplet; over four
+variables, :func:`relabelings` moves a bitmask under all 24 permutations at
+once, one OR of packed :func:`image_words` per set bit (orbits and the
+relabeled ground rules).
 
 The rule tables, rewritings and derivation records write statements as
 patterns over the placeholders X, Y, Z, U; :func:`substitute_pattern` is
@@ -150,38 +150,29 @@ def substitute_pattern(pattern: Pattern, X: int, Y: int, Z: int, U: int) -> tupl
     return part(pattern[0]), part(pattern[1]), part(pattern[2])
 
 
-# image_words(n) holds n! * w**2 bits for w = C(n,2) * 2**(n-2) triplets:
-# 1.7 kB at n = 4, 5.2 MB at n = 6 and 285 MB at n = 7.
-MAX_PERMUTATION_TABLE_VARIABLES = 6
-
-
 @lru_cache(maxsize=None)
-def image_words(n: int) -> tuple[tuple[int, ...], struct.Struct]:
-    """Word b holds the image of triplet bit b under every permutation of the
-    n variables, a lane of ``ceil(w / 8)`` bytes per permutation in
+def image_words() -> tuple[tuple[int, ...], struct.Struct]:
+    """Word b holds the image of four-variable triplet bit b under each of
+    the 24 permutations of x, y, z, u, a 3-byte lane per permutation in
     :func:`itertools.permutations` order; the struct splits a word into its
-    lanes.  Built on first use, for at most MAX_PERMUTATION_TABLE_VARIABLES."""
-    if n > MAX_PERMUTATION_TABLE_VARIABLES:
-        limit = MAX_PERMUTATION_TABLE_VARIABLES
-        raise ValueError(f"permutation tables cover at most {limit} variables, got {n}")
-    table, idx = canonical_triplets(n), triplet_index(n)
-    lane = (len(table) + 7) // 8
-    perms = list(itertools.permutations(range(n)))
+    lanes.  Built on first use."""
+    table, idx = canonical_triplets(4), triplet_index(4)
+    perms = list(itertools.permutations(range(4)))
     words = []
     for t in table:
-        word = bytearray(lane * len(perms))  # big-endian, lane 0 first
+        word = bytearray(3 * len(perms))  # big-endian, lane 0 first
         for end, perm in enumerate(perms, 1):
             image = idx[t.permuted(perm)]
-            word[end * lane - 1 - image // 8] |= 1 << image % 8
+            word[end * 3 - 1 - image // 8] |= 1 << image % 8
         words.append(int.from_bytes(word, "big"))
-    return tuple(words), struct.Struct(f">{f'{lane}s' * len(perms)}")
+    return tuple(words), struct.Struct(">" + "3s" * len(perms))
 
 
-def relabelings(bits: int, n: int) -> Iterator[int]:
-    """Images of a triplet bitmask under every permutation of the n
-    variables, in :func:`image_words` lane order: the OR of the words of
+def relabelings(bits: int) -> Iterator[int]:
+    """Images of a four-variable triplet bitmask under every permutation of
+    the variables, in :func:`image_words` lane order: the OR of the words of
     its set bits, read lane by lane."""
-    words, unpacker = image_words(n)
+    words, unpacker = image_words()
     packed = 0
     for b in bit_indices(bits):
         packed |= words[b]

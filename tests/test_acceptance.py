@@ -144,7 +144,7 @@ class TestLatticeCriteria:
     def test_irreducible_census_fails_without_relabelings(self, monkeypatch):
         # an orbit that holds only its representative leaves one member per
         # type: 14 irreducibles, each type of size 1
-        monkeypatch.setattr(catalog, "orbit_bits", lambda bits, n=4: {bits})
+        monkeypatch.setattr(catalog, "orbit_bits", lambda bits: {bits})
         assert checks.check_irreducible_census() == (
             False, f"14 members in 14 orbit types of sizes {[1] * 14}"
         )
@@ -259,7 +259,7 @@ class TestDerivationCriteria:
         implications = {(p, c) for p, c in implications if c & ~p}
         assert len(implications) == 63
         orbits = {
-            min(zip(relabelings(p, 4), relabelings(c, 4))) for p, c in implications
+            min(zip(relabelings(p), relabelings(c))) for p, c in implications
         }
         sizes = [bin(p).count("1") for p, _ in orbits]
         assert (len(orbits), sizes.count(4), sizes.count(5)) == (46, 22, 24)

@@ -18,6 +18,13 @@ class TestEntries:
         with pytest.raises(KeyError):
             catalog.get("EX9")
 
+    def test_unknown_id_is_quoted_and_capped(self):
+        with pytest.raises(KeyError) as info:
+            catalog.get("E" * 1000)
+        message = info.value.args[0]
+        assert message.startswith("unknown catalog entry 'EEE") and "...; known: (" in message
+        assert len(message) < 250
+
     def test_fifth_counterexample_rows(self):
         P = catalog.get("EX5").distribution
         rows = dict(P.items())

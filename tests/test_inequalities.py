@@ -167,6 +167,15 @@ class TestDerivations:
             for m in mutations:
                 assert not verify_derivation(m), (s.target, m)
 
+    def test_the_spare_premise_is_absent_from_the_record(self):
+        # the first spare candidate (Y,U|X) is absent from all 19 records, so
+        # a record that holds it checks that the spare is picked by its bits
+        I1 = load_derivation_schemas()[0]
+        record = replace(I1, premises=(I1.premises[0], ("Y", "U", "X")) + I1.premises[2:])
+        mutated = schema_mutations(record)[2]
+        assert mutated.premises[1:] == record.premises[1:]
+        assert _pattern_bits(mutated.premises[:1]) & ~_pattern_bits(record.premises)
+
     def test_swapped_rule_mismatch_fails(self):
         schemas = {s.target: s for s in load_derivation_schemas()}
         assert not verify_derivation(replace(schemas["I3"], swapped=False))

@@ -22,7 +22,7 @@ from cinfer.inference import (
     orbit_bits,
     semigraphoid_family,
 )
-from cinfer.sets import BasicSet
+from cinfer.sets import BasicSet, bit_indices
 from cinfer.structures import CIStructure, bit_count_for, triplet_index
 
 from oracles import (
@@ -277,19 +277,26 @@ class TestEnumeration:
         assert sg_family == tuple(scanned.tolist())
         assert ci_family == tuple(closed_members(scanned, pairs("all")).tolist())
 
-    def test_block_join_over_three_variables(self):
-        # the 22 semi-graphoids over three variables, against a scan of all
-        # 2**6 triplet sets with the oracle's fixpoint
+    def test_semigraphoids_over_three_variables(self):
+        # the 22 semi-graphoids over three variables: the closure engine's
+        # fixed points against a scan of all 2**6 triplet sets with the
+        # oracle's fixpoint
         rules = ground_rules(BasicSet(("a", "b", "c")), "sg")
         scanned = [bits for bits in range(1 << 6) if naive_closure(bits, rules) == bits]
         assert len(scanned) == 22
-        assert sorted(inference._block_join(3, "sg")) == scanned
+        assert [bits for bits in range(1 << 6) if closure_bits(bits, 3, "sg") == bits] == scanned
 
     def test_block_join_takes_rules_over_two_pairs_only(self):
-        # an equivalence or implication instance spans more than two of the
-        # six variable pairs
-        with pytest.raises(ValueError, match="more than two variable pairs"):
-            inference._block_join(4, "all")
+        # the join reads each exchange instance as a rule over two blocks of
+        # 2**(n-2) triplet bits, one per variable pair; it runs at n = 4 only,
+        # and the instances span exactly two pairs at n = 3 and 5 as well
+        for n in (3, 4, 5):
+            width = 1 << (n - 2)
+            spans = {
+                len({b // width for b in bit_indices(p | c)})
+                for p, c in inference._exchange_instances(n)
+            }
+            assert spans == {2}, n
 
     def test_non_members_fail_the_scalar_check(self, sg_family, ci_family):
         # the enumerated families and the scalar closedness test agree on
@@ -313,7 +320,7 @@ class TestEnumeration:
     def test_dump_format(self, tmp_path):
         path = tmp_path / "sg.txt"
         family = semigraphoid_family()
-        dump_family(str(path), family, BASE, False)
+        dump_family(str(path), family, False)
         lines = path.read_text().splitlines()
         assert len(lines) == len(family) == 26_424
         assert lines[0] == "000000"
@@ -322,7 +329,7 @@ class TestEnumeration:
 
     def test_human_dump(self, tmp_path):
         path = tmp_path / "family.txt"
-        dump_family(str(path), [0b1, 0], BASE, human=True)
+        dump_family(str(path), [0b1, 0], human=True)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("000001  ")
         assert "(x,y|)" in lines[0]
